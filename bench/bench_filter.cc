@@ -22,7 +22,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,36 +30,7 @@
 #include "capture/filter.h"
 #include "net/packet.h"
 #include "sim/campus.h"
-
-// --------------------------------------------------------------------------
-// Counting allocator: per-thread so unrelated threads can't pollute the
-// loop measurements (same scheme as bench_ingest).
-
-namespace {
-thread_local std::uint64_t t_allocs = 0;
-}  // namespace
-
-// GCC pairs its builtin knowledge of operator new[] with free() at
-// inlined call sites and warns, even though these replacements make the
-// pairing correct by construction.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  ++t_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++t_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_alloc.h"
 
 namespace {
 
@@ -237,7 +207,7 @@ int main(int argc, char** argv) {
   };
 
   add_mode("legacy_per_packet", [&](ModeResult& r) {
-    std::uint64_t before = t_allocs;
+    std::uint64_t before = bench::thread_allocs();
     auto start = Clock::now();
     std::uint64_t passed = 0;
     for (const auto& pkt : trace) {
@@ -246,12 +216,12 @@ int main(int argc, char** argv) {
       ++r.packets;
     }
     loop_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    loop_allocs = t_allocs - before;
+    loop_allocs = bench::thread_allocs() - before;
     (void)passed;
   });
 
   auto batch_pass = [&](capture::BatchFilter& filter, ModeResult& r) {
-    std::uint64_t before = t_allocs;
+    std::uint64_t before = bench::thread_allocs();
     auto start = Clock::now();
     for (std::size_t off = 0; off < views.size(); off += kBatch) {
       std::size_t n = std::min(kBatch, views.size() - off);
@@ -261,7 +231,7 @@ int main(int argc, char** argv) {
       r.packets += n;
     }
     loop_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    loop_allocs = t_allocs - before;
+    loop_allocs = bench::thread_allocs() - before;
   };
 
   add_mode("batch_scalar", [&](ModeResult& r) { batch_pass(scalar, r); });

@@ -19,7 +19,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -28,36 +27,7 @@
 #include "net/trace_source.h"
 #include "pipeline/parallel_analyzer.h"
 #include "sim/meeting.h"
-
-// --------------------------------------------------------------------------
-// Counting allocator: per-thread so worker-shard allocations don't
-// pollute producer-side measurements.
-
-namespace {
-thread_local std::uint64_t t_allocs = 0;
-}  // namespace
-
-// GCC pairs its builtin knowledge of operator new[] with free() at
-// inlined call sites and warns, even though these replacements make the
-// pairing correct by construction.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  ++t_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++t_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_alloc.h"
 
 namespace {
 
@@ -201,54 +171,55 @@ int main(int argc, char** argv) {
   // Seed baseline: streaming reader, one owned RawPacket per record.
   add_mode("streaming_per_packet", [&](ModeResult& r) {
     net::PcapReader reader(path);
-    std::uint64_t before = t_allocs;
+    std::uint64_t before = bench::thread_allocs();
     auto start = Clock::now();
     while (auto pkt = reader.next()) {
       r.bytes += pkt->data.size();
       ++r.packets;
     }
     loop_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    loop_allocs = t_allocs - before;
+    loop_allocs = bench::thread_allocs() - before;
   });
 
-  // Streaming reader with buffer reuse (the non-mmap fallback's core).
+  // Streaming reader with buffer reuse: one copy per record out of the
+  // refill buffer into a reused RawPacket.
   add_mode("streaming_next_into", [&](ModeResult& r) {
     net::PcapReader reader(path);
     net::RawPacket pkt;
-    std::uint64_t before = t_allocs;
+    std::uint64_t before = bench::thread_allocs();
     auto start = Clock::now();
     while (reader.next_into(pkt)) {
       r.bytes += pkt.data.size();
       ++r.packets;
     }
     loop_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    loop_allocs = t_allocs - before;
+    loop_allocs = bench::thread_allocs() - before;
   });
 
   // Mapped reader, one view at a time.
   add_mode("mapped_per_packet", [&](ModeResult& r) {
     net::TraceSource source(path);
-    std::uint64_t before = t_allocs;
+    std::uint64_t before = bench::thread_allocs();
     auto start = Clock::now();
     while (auto view = source.next()) {
       r.bytes += view->data.size();
       ++r.packets;
     }
     loop_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    loop_allocs = t_allocs - before;
+    loop_allocs = bench::thread_allocs() - before;
   });
 
   // Mapped reader, batched — the fast path zpm_analyze uses.
   add_mode("mapped_batched", [&](ModeResult& r) {
     net::TraceSource source(path);
-    std::uint64_t before = t_allocs;
+    std::uint64_t before = bench::thread_allocs();
     auto start = Clock::now();
     while (source.next_batch(batch, kBatch) > 0) {
       for (const auto& v : batch) r.bytes += v.data.size();
       r.packets += batch.size();
     }
     loop_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    loop_allocs = t_allocs - before;
+    loop_allocs = bench::thread_allocs() - before;
   });
 
   // Round 0 warms every mode (page cache, allocator pools) and is
@@ -292,7 +263,7 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < kRounds; ++rep) {
       sources.push_back(std::make_unique<net::TraceSource>(path));
       net::TraceSource& source = *sources.back();
-      std::uint64_t rep_allocs = t_allocs;
+      std::uint64_t rep_allocs = bench::thread_allocs();
       auto start = Clock::now();  // loop-only, like the reader modes
       while (source.next_batch(batch, kBatch) > 0) {
         if (rep > 0) {
@@ -306,9 +277,9 @@ int main(int argc, char** argv) {
             std::chrono::duration<double>(Clock::now() - start).count();
         if (pass_s < r.seconds) r.seconds = pass_s;
         ++r.passes;
-        r.allocs += t_allocs - rep_allocs;
+        r.allocs += bench::thread_allocs() - rep_allocs;
       }
-      if (rep == kRounds - 1) r.steady_allocs = t_allocs - rep_allocs;
+      if (rep == kRounds - 1) r.steady_allocs = bench::thread_allocs() - rep_allocs;
     }
     analyzer.finish();
     results.push_back(r);

@@ -32,7 +32,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -49,33 +48,7 @@
 #include "sim/campus.h"
 #include "sim/meeting.h"
 #include "util/bytes.h"
-
-// --------------------------------------------------------------------------
-// Counting allocator: per-thread so unrelated threads can't pollute the
-// loop measurements (same scheme as bench_ingest / bench_filter).
-
-namespace {
-thread_local std::uint64_t t_allocs = 0;
-}  // namespace
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  ++t_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++t_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_alloc.h"
 
 namespace {
 
@@ -188,7 +161,7 @@ double micro_pass(bool covered, bool sharded, std::uint64_t& packets,
     return (lcg >> 33) % mod;
   };
 
-  const std::uint64_t before = t_allocs;
+  const std::uint64_t before = bench::thread_allocs();
   const auto start = Clock::now();
   std::uint16_t vseq = 0, aseq = 0;
   for (std::size_t i = 0; i < kMicroIters; ++i) {
@@ -265,7 +238,7 @@ double micro_pass(bool covered, bool sharded, std::uint64_t& packets,
   audio_down.finish();
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
-  allocs = t_allocs - before;
+  allocs = bench::thread_allocs() - before;
   packets = kMicroIters * 8;
   return seconds;
 }
@@ -316,7 +289,7 @@ ModeResult run_pipeline_mode(const char* name,
     } else {
       serial.emplace(cfg);
     }
-    const std::uint64_t before = t_allocs;
+    const std::uint64_t before = bench::thread_allocs();
     const auto start = Clock::now();
     for (std::size_t off = 0; off < views.size(); off += kBatch) {
       const std::size_t n = std::min(kBatch, views.size() - off);
@@ -344,7 +317,7 @@ ModeResult run_pipeline_mode(const char* name,
     if (round == 0) continue;
     r.packets = views.size();
     r.seconds = std::min(r.seconds, s);
-    r.steady_allocs = t_allocs - before;
+    r.steady_allocs = bench::thread_allocs() - before;
   }
   return r;
 }
@@ -368,9 +341,9 @@ bool classify_steady_alloc_gate(std::span<const net::RawPacketView> views,
     }
   };
   pass();  // warm-up: table growth, verdict buffers
-  const std::uint64_t before = t_allocs;
+  const std::uint64_t before = bench::thread_allocs();
   pass();
-  steady_allocs = t_allocs - before;
+  steady_allocs = bench::thread_allocs() - before;
   return steady_allocs == 0;
 }
 

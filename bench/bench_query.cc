@@ -31,7 +31,6 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -42,33 +41,7 @@
 #include "query/query.h"
 #include "sim/meeting.h"
 #include "util/bytes.h"
-
-// --------------------------------------------------------------------------
-// Counting allocator: per-thread so unrelated threads can't pollute the
-// loop measurements (same scheme as bench_ingest / bench_filter).
-
-namespace {
-thread_local std::uint64_t t_allocs = 0;
-}  // namespace
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  ++t_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++t_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_alloc.h"
 
 namespace {
 
@@ -347,9 +320,9 @@ int main(int argc, char** argv) {
         if (reader_a.read(i, scratch)) engine.add_slice(scratch, 0);
     };
     pass();  // warm: tables and row capacity reach their high-water mark
-    const std::uint64_t before = t_allocs;
+    const std::uint64_t before = bench::thread_allocs();
     pass();
-    steady_allocs = t_allocs - before;
+    steady_allocs = bench::thread_allocs() - before;
     query::QueryResult discard;
     engine.finish(discard);
   }

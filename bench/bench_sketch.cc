@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -35,37 +34,7 @@
 #include "sim/background.h"
 #include "sim/campus.h"
 #include "sim/meeting.h"
-
-// --------------------------------------------------------------------------
-// Counting allocator: per-thread counts and bytes (same scheme as
-// bench_filter/bench_ingest, plus a byte tally so the exact-baseline
-// growth is measured, not estimated).
-
-namespace {
-thread_local std::uint64_t t_allocs = 0;
-thread_local std::uint64_t t_alloc_bytes = 0;
-}  // namespace
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  ++t_allocs;
-  t_alloc_bytes += size;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++t_allocs;
-  t_alloc_bytes += size;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_alloc.h"
 
 namespace {
 
@@ -373,7 +342,7 @@ int main(int argc, char** argv) {
     }
     // The exact baseline the tier replaces: one hash-map entry per flow,
     // growth measured in actual allocated bytes.
-    const std::uint64_t before = t_alloc_bytes;
+    const std::uint64_t before = bench::thread_alloc_bytes();
     for (const auto& pkt : batch_pkts) {
       net::DecodeFailure df{};
       auto view = net::decode_packet(pkt.ts, pkt.data, &df);
@@ -382,7 +351,7 @@ int main(int argc, char** argv) {
       load.packets += 1;
       load.bytes += pkt.data.size();
     }
-    exact_bytes += t_alloc_bytes - before;
+    exact_bytes += bench::thread_alloc_bytes() - before;
     absorbed_total += batch_pkts.size();
   }
 
@@ -443,9 +412,9 @@ int main(int argc, char** argv) {
       }
     };
     run();  // warm pass: tables, verdict buffers
-    const std::uint64_t before = t_allocs;
+    const std::uint64_t before = bench::thread_allocs();
     run();
-    steady_allocs = t_allocs - before;
+    steady_allocs = bench::thread_allocs() - before;
   }
 
   // Bit-identity: Zoom-admitted report digest with the tier on vs. off,

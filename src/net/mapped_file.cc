@@ -44,7 +44,11 @@ void MappedFile::reset() {
 MappedFile MappedFile::open(const std::string& path) {
   MappedFile mf;
 #ifdef ZPM_HAVE_MMAP
-  int fd = ::open(path.c_str(), O_RDONLY);
+  // O_NONBLOCK: opening a FIFO for reading would otherwise block until
+  // a writer arrives, and closing it again (it cannot be mapped) would
+  // leave that writer facing a reader-less pipe before the streaming
+  // fallback reopens it. Regular files ignore the flag.
+  int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
   if (fd < 0) return mf;
   struct stat st{};
   if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {

@@ -1,11 +1,12 @@
-// Read-only memory-mapped file: the foundation of the zero-copy ingest
-// path. Mapping the whole trace lets the pcap/pcapng record parsers
-// yield spans pointing straight into the page cache instead of copying
-// every record into a heap buffer — the paper's 1.8B-packet deployment
-// is ingest-bound, and the per-record copy is the first cost to go.
+// Read-only memory-mapped file: one of the two byte providers behind
+// the capture parser (net/capture_file.h). Mapping the whole trace lets
+// the parser yield spans pointing straight into the page cache instead
+// of copying every record into a heap buffer — the paper's
+// 1.8B-packet deployment is ingest-bound, and the per-record copy is
+// the first cost to go.
 //
-// Only regular files can be mapped; pipes, FIFOs and stdin fall back to
-// the streaming readers (see net::TraceSource).
+// Only regular files can be mapped; pipes, FIFOs and stdin go to the
+// other provider, a refill buffer over the stream (see net::TraceSource).
 #pragma once
 
 #include <cstddef>
@@ -31,7 +32,7 @@ class MappedFile {
 
   /// Maps `path` read-only. Returns an unmapped (empty()) object when
   /// the file cannot be opened, is not a regular file, or mmap is
-  /// unavailable — callers use the streaming fallback then. A mapped
+  /// unavailable — callers stream the file instead. A mapped
   /// zero-byte regular file is valid (data() == nullptr, size() == 0).
   static MappedFile open(const std::string& path);
 

@@ -1,73 +1,31 @@
 // Classic libpcap file format (magic 0xa1b2c3d4, microsecond timestamps,
 // LINKTYPE_ETHERNET), implemented from the format specification so the
-// repository has no external capture-library dependency. Reads and
-// writes both byte orders; writes native-order little-endian files.
+// repository has no external capture-library dependency. Reads both byte
+// orders and nanosecond captures (parsing lives in capture_file.h);
+// writes native-order little-endian files.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <istream>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <string>
 
+#include "net/capture_file.h"
 #include "net/packet.h"
 
 namespace zpm::net {
 
-/// Converts a pcap record header timestamp to the internal microsecond
-/// tick, shared by the streaming and mapped readers. Nanosecond-
-/// resolution captures round to the nearest microsecond — truncating
-/// would bias every timestamp down by up to 1 µs, enough to skew jitter
-/// and one-way-delay estimates.
-inline util::Timestamp pcap_record_timestamp(std::uint32_t ts_sec,
-                                             std::uint32_t ts_frac,
-                                             bool nanosecond) {
-  std::uint32_t usec = nanosecond ? (ts_frac + 500) / 1000 : ts_frac;
-  return util::Timestamp::from_pcap(ts_sec, usec);
-}
-
-/// Reads pcap records sequentially from a stream or file.
-class PcapReader {
+/// Reads pcap records sequentially from a stream or file. The global
+/// header is parsed on construction: check ok() afterwards.
+class PcapReader : public CaptureReader {
  public:
   /// Wraps an existing stream (must outlive the reader).
-  explicit PcapReader(std::istream& in);
-  /// Opens a file; check ok() afterwards.
-  explicit PcapReader(const std::string& path);
-
-  /// True if the global header parsed and no read error has occurred.
-  [[nodiscard]] bool ok() const { return ok_; }
-  /// Human-readable reason for !ok().
-  [[nodiscard]] const std::string& error() const { return error_; }
-  /// Link type from the global header (1 = Ethernet).
-  [[nodiscard]] std::uint32_t link_type() const { return link_type_; }
-
-  /// Next packet, or nullopt at end of file / on error.
-  std::optional<RawPacket> next();
-
-  /// Reads the next record into `out`, reusing out.data's capacity (the
-  /// allocation-light form used by the batched ingest fallback). Returns
-  /// false at end of file / on error.
-  bool next_into(RawPacket& out);
-
-  /// Number of records returned so far.
-  [[nodiscard]] std::uint64_t packets_read() const { return packets_read_; }
-
- private:
-  void read_global_header();
-  std::uint32_t read_u32(const std::uint8_t* p) const;
-  std::uint16_t read_u16(const std::uint8_t* p) const;
-
-  std::unique_ptr<std::ifstream> file_;
-  std::istream* in_;
-  bool ok_ = false;
-  bool swapped_ = false;     // file byte order != little-endian
-  bool nanosecond_ = false;  // 0xa1b23c4d magic
-  std::uint32_t link_type_ = 0;
-  std::uint32_t snaplen_ = 0;
-  std::uint64_t packets_read_ = 0;
-  std::string error_;
+  explicit PcapReader(std::istream& in) : CaptureReader(in, CaptureFormat::Pcap) {}
+  /// Opens a file.
+  explicit PcapReader(const std::string& path)
+      : CaptureReader(path, CaptureFormat::Pcap) {}
 };
 
 /// Writes pcap records sequentially to a stream or file.

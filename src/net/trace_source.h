@@ -1,132 +1,55 @@
-// Zero-copy trace ingest: memory-mapped pcap/pcapng record parsers that
-// yield RawPacketView spans pointing straight into the mapping, plus a
-// TraceSource facade that picks the mapped fast path when the input is
-// a regular file and falls back to the streaming readers (stdin, pipes,
-// platforms without mmap) otherwise.
-//
-// The mapped readers replicate the streaming readers' validation
-// semantics and error strings exactly — tests/test_trace_source.cc
-// asserts byte-identical analyzer output on clean, byte-swapped,
-// nanosecond, corrupted and truncated traces.
+// Trace ingest: a capture file of either format as a BatchSource. A
+// regular file is memory-mapped and handed to the capture parser whole,
+// so packet views point straight into the mapping (zero copy); anything
+// else (stdin, pipes, FIFOs, platforms without mmap) streams through
+// the same parser behind a refill buffer. Both paths share every
+// validation rule and error string (capture_file.h).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "net/batch_source.h"
+#include "net/capture_file.h"
 #include "net/mapped_file.h"
 #include "net/packet.h"
-#include "net/pcap.h"
-#include "net/pcapng.h"
 
 namespace zpm::net {
 
-/// Parses classic pcap records out of a memory-mapped buffer. Views
-/// returned by next() point into the buffer and stay valid for the
-/// buffer's lifetime.
-class MappedPcapReader {
- public:
-  explicit MappedPcapReader(std::span<const std::uint8_t> bytes);
-
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] std::uint32_t link_type() const { return link_type_; }
-
-  /// Next record as a non-owning view, or nullopt at end / on error.
-  std::optional<RawPacketView> next();
-
-  /// Appends up to `max` records to `out`; the batched form of next()
-  /// with one tight parse loop (TraceSource's mapped fast path).
-  std::size_t next_batch(std::vector<RawPacketView>& out, std::size_t max);
-
-  [[nodiscard]] std::uint64_t packets_read() const { return packets_read_; }
-
- private:
-  void read_global_header();
-  [[nodiscard]] std::uint32_t read_u32(const std::uint8_t* p) const;
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-  bool ok_ = false;
-  bool swapped_ = false;
-  bool nanosecond_ = false;
-  std::uint32_t link_type_ = 0;
-  std::uint64_t packets_read_ = 0;
-  std::string error_;
-};
-
-/// Parses pcapng blocks out of a memory-mapped buffer. Views returned
-/// by next() point into the buffer and stay valid for its lifetime.
-class MappedPcapNgReader {
- public:
-  explicit MappedPcapNgReader(std::span<const std::uint8_t> bytes);
-
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] const std::string& error() const { return error_; }
-
-  std::optional<RawPacketView> next();
-
-  [[nodiscard]] std::uint64_t packets_read() const { return packets_read_; }
-
- private:
-  struct Interface {
-    std::uint16_t link_type = 0;
-    std::uint64_t ticks_per_second = 1'000'000;
-  };
-
-  [[nodiscard]] std::uint32_t u32(const std::uint8_t* p) const;
-  [[nodiscard]] std::uint16_t u16(const std::uint8_t* p) const;
-  bool read_section_header(std::span<const std::uint8_t> block);
-  bool read_interface_block(std::span<const std::uint8_t> body);
-  std::optional<RawPacketView> parse_epb(std::span<const std::uint8_t> body);
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-  bool ok_ = false;
-  bool swapped_ = false;
-  bool seen_section_ = false;
-  std::vector<Interface> interfaces_;
-  std::uint64_t packets_read_ = 0;
-  std::string error_;
-};
-
-/// Unified trace input. Opens a capture of either format, preferring
-/// the mapped zero-copy path; falls back to the streaming readers when
-/// the file cannot be mapped. Consumers use next()/next_batch() and
-/// treat the returned views as valid until the TraceSource is
-/// destroyed (mapped path) or until the next call (streaming path —
-/// batch storage is reused).
+/// Unified trace input. Opens a capture of either format, sniffing the
+/// magic; check ok() afterwards. Views returned by next()/next_batch()
+/// stay valid until the TraceSource is destroyed on the mapped path,
+/// and until the next call on the streaming path.
 class TraceSource : public BatchSource {
  public:
-  /// Opens `path`, sniffing the format magic. Check ok() afterwards.
-  explicit TraceSource(const std::string& path);
-  ~TraceSource() override;
+  explicit TraceSource(const std::string& path)
+      : file_(MappedFile::open(path)),
+        reader_(file_.valid() ? CaptureReader(file_.bytes(), CaptureFormat::Sniff)
+                              : CaptureReader(path, CaptureFormat::Sniff)) {}
 
   TraceSource(const TraceSource&) = delete;
   TraceSource& operator=(const TraceSource&) = delete;
 
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] const std::string& error() const override { return error_; }
-  /// True when the zero-copy mapped fast path is active.
-  [[nodiscard]] bool mapped() const { return mapped_; }
-  /// Mapped views alias the mapping (valid until destruction); the
-  /// streaming fallback reuses its batch storage.
-  [[nodiscard]] bool pinned() const override { return mapped_; }
+  [[nodiscard]] bool ok() const { return reader_.ok(); }
+  [[nodiscard]] const std::string& error() const override {
+    return reader_.error();
+  }
+  /// True when the zero-copy mapped path is active.
+  [[nodiscard]] bool mapped() const { return file_.valid(); }
+  /// Mapped views alias the mapping (valid until destruction); streamed
+  /// views alias the refill buffer.
+  [[nodiscard]] bool pinned() const override { return mapped(); }
 
-  /// Next packet as a view. On the mapped path the view aliases the
-  /// mapping (valid until destruction); on the streaming path it
-  /// aliases an internal buffer reused by the following next()/
-  /// next_batch() call.
-  std::optional<RawPacketView> next();
+  /// Next packet as a view; nullopt at end of input or on error.
+  std::optional<RawPacketView> next() { return reader_.next_view(); }
 
   /// Appends up to `max` packets to `out` (which is cleared first).
-  /// Returns the number appended; 0 means end of input or error. View
-  /// lifetime follows the same rule as next().
-  std::size_t next_batch(std::vector<RawPacketView>& out, std::size_t max);
+  /// Returns the number appended; 0 means end of input or error.
+  std::size_t next_batch(std::vector<RawPacketView>& out, std::size_t max) {
+    return reader_.next_batch(out, max);
+  }
 
   /// BatchSource form of next_batch() with the unified end-of-stream /
   /// error split (a file is never Idle): Batch while records remain,
@@ -135,26 +58,16 @@ class TraceSource : public BatchSource {
                           std::size_t max) override {
     return next_batch(out, max) > 0
                ? SourceStatus::Batch
-               : (ok_ ? SourceStatus::EndOfStream : SourceStatus::Error);
+               : (ok() ? SourceStatus::EndOfStream : SourceStatus::Error);
   }
 
   [[nodiscard]] std::uint64_t packets_read() const override {
-    return packets_read_;
+    return reader_.packets_read();
   }
 
  private:
-  bool ok_ = false;
-  bool mapped_ = false;
-  std::string error_;
-  std::uint64_t packets_read_ = 0;
-
   MappedFile file_;
-  std::unique_ptr<MappedPcapReader> mapped_pcap_;
-  std::unique_ptr<MappedPcapNgReader> mapped_ng_;
-  std::unique_ptr<PacketSource> streaming_;
-  // Streaming fallback: owned packets whose capacity is reused across
-  // batches so the steady state allocates nothing new.
-  std::vector<RawPacket> storage_;
+  CaptureReader reader_;
 };
 
 }  // namespace zpm::net

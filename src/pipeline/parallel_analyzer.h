@@ -72,7 +72,7 @@ enum class BatchLifetime : std::uint8_t {
   /// in place; nothing is copied.
   Pinned,
   /// The views point into a buffer the caller reuses after the call
-  /// returns (the streaming reader's block). The batch's bytes are
+  /// returns (a streamed trace's refill buffer). The batch's bytes are
   /// copied once into a refcounted block shared by all its items.
   Transient,
 };

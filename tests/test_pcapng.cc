@@ -146,6 +146,41 @@ TEST(PcapNg, SkipsUnknownBlocksAndNonEthernetInterfaces) {
   EXPECT_TRUE(reader.ok());
 }
 
+TEST(PcapNg, SkipsSimplePacketOnNonEthernetInterface) {
+  // A Simple Packet Block is captured on interface 0. When that
+  // interface is not Ethernet (101 = LINKTYPE_RAW), its bytes are not
+  // an Ethernet frame and must be skipped, as an EPB on it would be.
+  auto with_spb_on = [](std::uint16_t link_type) {
+    NgBuilder b;
+    b.shb();
+    b.idb(link_type);
+    const auto frame = sample_frame(0x77);
+    const std::uint32_t len =
+        16 + ((static_cast<std::uint32_t>(frame.size()) + 3u) & ~3u);
+    b.u32(0x00000003);  // SPB
+    b.u32(len);
+    b.u32(static_cast<std::uint32_t>(frame.size()));  // original length
+    b.bytes(frame);
+    b.pad4();
+    b.u32(len);
+    return b.str();
+  };
+
+  std::istringstream raw(with_spb_on(101));
+  PcapNgReader skipped(raw);
+  EXPECT_FALSE(skipped.next());
+  EXPECT_TRUE(skipped.ok()) << skipped.error();
+  EXPECT_EQ(skipped.packets_read(), 0u);
+
+  // Control: the same block on an Ethernet interface is a packet.
+  std::istringstream eth(with_spb_on(1));
+  PcapNgReader read(eth);
+  auto pkt = read.next();
+  ASSERT_TRUE(pkt);
+  EXPECT_EQ(pkt->data, sample_frame(0x77));
+  EXPECT_TRUE(read.ok()) << read.error();
+}
+
 TEST(PcapNg, RejectsNonPcapngStream) {
   std::istringstream in(std::string(64, 'x'));
   PcapNgReader reader(in);

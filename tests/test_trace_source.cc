@@ -3,13 +3,18 @@
 // same packets, same timestamps, same error strings, same analyzer
 // output — on clean, byte-swapped, nanosecond, corrupted and truncated
 // captures.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -384,6 +389,108 @@ TEST(TraceSource, UnrecognizedAndMissingFiles) {
   TraceSource e(empty);
   EXPECT_FALSE(e.ok());
   std::remove(empty.c_str());
+}
+
+/// Serves `bytes` through a FIFO at `path` from a writer thread, a few
+/// bytes per write so records straddle the reader's refills.
+class FifoFeed {
+ public:
+  FifoFeed(std::string path, std::string bytes) : path_(std::move(path)) {
+    EXPECT_EQ(::mkfifo(path_.c_str(), 0600), 0) << path_;
+    writer_ = std::thread([this, bytes = std::move(bytes)] {
+      std::FILE* out = std::fopen(path_.c_str(), "wb");  // waits for a reader
+      if (out == nullptr) return;
+      for (std::size_t at = 0; at < bytes.size(); at += 7) {
+        std::fwrite(bytes.data() + at, 1, std::min<std::size_t>(7, bytes.size() - at),
+                    out);
+        std::fflush(out);
+      }
+      std::fclose(out);
+    });
+  }
+  FifoFeed(const FifoFeed&) = delete;
+  FifoFeed& operator=(const FifoFeed&) = delete;
+  ~FifoFeed() {
+    // Releases a writer still waiting for a reader that never came.
+    int fd = ::open(path_.c_str(), O_RDONLY | O_NONBLOCK);
+    if (fd >= 0) ::close(fd);
+    writer_.join();
+    std::remove(path_.c_str());
+  }
+
+ private:
+  std::string path_;
+  std::thread writer_;
+};
+
+/// Drains `bytes` through TraceSource's streaming fallback (a FIFO
+/// cannot be mapped). Batched views are copied only once the whole
+/// batch is back, so a view the reader moved mid-batch would show.
+Drained drain_fifo(const std::string& bytes, bool use_batch) {
+  std::signal(SIGPIPE, SIG_IGN);  // a reader that stops early must not kill the writer
+  Drained d;
+  FifoFeed feed(temp_path("zpm_ts.fifo"), bytes);
+  TraceSource source(temp_path("zpm_ts.fifo"));
+  EXPECT_FALSE(source.mapped());
+  if (use_batch) {
+    std::vector<RawPacketView> batch;
+    while (source.next_batch(batch, 7) > 0)
+      for (const auto& v : batch) d.packets.push_back(v.to_owned());
+  } else {
+    while (auto v = source.next()) d.packets.push_back(v->to_owned());
+  }
+  d.ok = source.ok();
+  d.error = source.error();
+  return d;
+}
+
+TEST(TraceSource, StreamingFallbackOverFifoMatchesMapped) {
+  Emitter pcap;
+  pcap.pcap_header(0xa1b2c3d4);
+  std::vector<RawPacket> packets;
+  for (int i = 0; i < 30; ++i) {
+    packets.push_back(sample_packet(i * 0.5, static_cast<std::uint8_t>(i),
+                                    20 + static_cast<std::size_t>(i) * 9));
+    pcap.record(static_cast<std::uint32_t>(i), 0, packets.back().data);
+  }
+  const std::string ng = build_pcapng(packets);
+  const std::size_t last_record = 16 + packets.back().data.size();
+  const struct {
+    const char* name;
+    std::string bytes;
+    bool clean;
+  } cases[] = {
+      {"zpm_ts_fifo.pcap", pcap.buf, true},
+      {"zpm_ts_fifo_body.pcap", pcap.buf.substr(0, pcap.buf.size() - 10), false},
+      {"zpm_ts_fifo_header.pcap",
+       pcap.buf.substr(0, pcap.buf.size() - last_record + 11), false},
+      {"zpm_ts_fifo.pcapng", ng, true},
+      {"zpm_ts_fifo_body.pcapng", ng.substr(0, ng.size() - 10), false},
+      {"zpm_ts_fifo_trailer.pcapng", ng.substr(0, ng.size() - 2), false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string path = temp_path(c.name);
+    write_file(path, c.bytes);
+    Drained mapped = drain_mapped(path, /*use_batch=*/true);
+    std::remove(path.c_str());
+    EXPECT_EQ(mapped.ok, c.clean) << mapped.error;
+    EXPECT_EQ(mapped.packets.size(), c.clean ? packets.size() : packets.size() - 1);
+    for (bool use_batch : {false, true}) {
+      SCOPED_TRACE(use_batch ? "next_batch" : "next");
+      Drained streamed = drain_fifo(c.bytes, use_batch);
+      EXPECT_EQ(streamed.ok, mapped.ok);
+      EXPECT_EQ(streamed.error, mapped.error);
+      ASSERT_EQ(streamed.packets.size(), mapped.packets.size());
+      for (std::size_t i = 0; i < mapped.packets.size(); ++i) {
+        EXPECT_EQ(streamed.packets[i].ts, mapped.packets[i].ts) << "packet " << i;
+        EXPECT_EQ(streamed.packets[i].data, mapped.packets[i].data)
+            << "packet " << i;
+        EXPECT_EQ(streamed.packets[i].orig_len, mapped.packets[i].orig_len)
+            << "packet " << i;
+      }
+    }
+  }
 }
 
 /// Runs a serial analyzer over a capture file via the given drain and
