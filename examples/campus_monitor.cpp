@@ -25,11 +25,13 @@
 //                       [--bounded-push] [--slow-shard <i>] [--slow-us <us>]
 //                       [--dataplane-offload]
 //
-// With --pcap the monitor replays a recorded capture through the
-// analyzer using the zero-copy batched ingest path. Each batch is
-// screened by the capture front end (capture/batch_filter) first —
-// the software stand-in for the paper's Tofino filter — unless
-// --no-frontend; results are bit-identical either way.
+// With --pcap the monitor replays a recorded capture using the
+// zero-copy batched ingest path, through analysis::EpochEngine — the
+// daemon's ingest driver — as one window with both epoch limits off.
+// The engine screens each batch with the capture front end
+// (capture/batch_filter) first — the software stand-in for the paper's
+// Tofino filter — unless --no-frontend; results are bit-identical
+// either way.
 // --frontend-stats prints the filter's selectivity counters with the
 // day summary. The front end's sketch tier summarizes the rejected
 // background flows within --flow-memory-budget bytes (K/M/G suffixes,
@@ -76,8 +78,8 @@
 #include <vector>
 
 #include "analysis/daemon.h"
+#include "analysis/epoch.h"
 #include "analysis/tables.h"
-#include "capture/batch_filter.h"
 #include "capture/filter.h"
 #include "core/analyzer.h"
 #include "net/live_source.h"
@@ -97,21 +99,26 @@ namespace {
 volatile std::sig_atomic_t g_interrupted = 0;
 void on_interrupt(int) { g_interrupted = 1; }
 
-void print_summary(core::Analyzer& analyzer, std::uint64_t processed) {
-  const auto& c = analyzer.counters();
+void print_summary(const core::AnalyzerCounters& c, core::AnalyzerHealth h,
+                   std::size_t meetings, std::size_t streams,
+                   std::uint64_t processed) {
   std::printf("\nday summary: %llu packets processed, %llu Zoom (%s), "
               "%zu meetings, %zu streams\n",
               static_cast<unsigned long long>(processed),
               static_cast<unsigned long long>(c.zoom_packets),
-              util::human_bytes(c.zoom_bytes).c_str(),
-              analyzer.meetings().meeting_count(), analyzer.streams().size());
-  // Front-end screening and sketch-tier churn are accounting, not loss:
-  // zero them out of the all-clear gate so the summary line is identical
-  // with the front end / tier on or off (--frontend-stats and
-  // --sketch-stats report the details).
-  auto h = analyzer.health();
+              util::human_bytes(c.zoom_bytes).c_str(), meetings, streams);
+  // Front-end screening, sketch-tier churn and offload coverage are
+  // accounting, not loss: zero them out of the all-clear gate so the
+  // summary line is identical with the front end / tier / offload on or
+  // off (--frontend-stats and --sketch-stats report the details).
   h.frontend_rejected = 0;
   h.sketch_evicted = 0;
+  h.offload_covered_packets = 0;
+  h.offload_collisions = 0;
+  h.offload_evictions = 0;
+  // A replayed trace is one window that is read, never retired.
+  h.epoch_evicted_flows = 0;
+  h.epoch_evicted_meetings = 0;
   if (h.all_clear()) {
     std::printf("analyzer health: all clear\n");
   } else {
@@ -126,24 +133,6 @@ void print_summary(core::Analyzer& analyzer, std::uint64_t processed) {
   }
 }
 
-/// "4M", "256K", "1048576" → bytes (binary suffixes); 0 on a malformed
-/// spec, which the caller treats as a usage error.
-std::size_t parse_byte_size(const char* spec) {
-  char* end = nullptr;
-  const auto value = std::strtoull(spec, &end, 10);
-  if (end == spec) return 0;
-  std::size_t scale = 1;
-  switch (*end) {
-    case '\0': break;
-    case 'k': case 'K': scale = std::size_t{1} << 10; ++end; break;
-    case 'm': case 'M': scale = std::size_t{1} << 20; ++end; break;
-    case 'g': case 'G': scale = std::size_t{1} << 30; ++end; break;
-    default: return 0;
-  }
-  if (*end != '\0' || value > (std::size_t{1} << 40) / scale) return 0;
-  return static_cast<std::size_t>(value) * scale;
-}
-
 int monitor_pcap(const char* path, bool frontend, bool frontend_stats,
                  std::size_t sketch_budget, bool sketch_stats,
                  bool dataplane_offload) {
@@ -153,42 +142,26 @@ int monitor_pcap(const char* path, bool frontend, bool frontend_stats,
                  source.error().c_str());
     return 1;
   }
-  core::AnalyzerConfig an_cfg;
-  an_cfg.keep_frames = false;
-  core::Analyzer analyzer(an_cfg);
-  std::optional<capture::BatchFilter> filter;
-  if (frontend) {
-    capture::BatchFilterConfig fe_cfg;
-    fe_cfg.server_db = an_cfg.server_db;
-    fe_cfg.shards = 1;
-    fe_cfg.flow_memory_budget = sketch_budget;
-    fe_cfg.dataplane_offload = dataplane_offload;
-    filter.emplace(std::move(fe_cfg));
-  }
+  analysis::EpochEngineConfig cfg;
+  cfg.analyzer.keep_frames = false;
+  cfg.frontend = frontend;
+  cfg.flow_memory_budget = sketch_budget;
+  cfg.dataplane_offload = dataplane_offload;
+  cfg.limits = {0, util::Duration::micros(0)};  // one window: the whole trace
+  analysis::EpochEngine engine(std::move(cfg));
 
   std::printf("campus monitor: replaying %s (%s ingest, front end %s)\n", path,
               source.mapped() ? "mapped zero-copy" : "streaming",
-              filter ? "on" : "off");
+              frontend ? "on" : "off");
   std::signal(SIGINT, on_interrupt);
   constexpr std::size_t kBatch = 1024;
+  const auto lifetime = source.mapped() ? pipeline::BatchLifetime::Pinned
+                                        : pipeline::BatchLifetime::Transient;
   std::vector<net::RawPacketView> batch;
   batch.reserve(kBatch);
-  capture::BatchVerdicts verdicts;
-  while (!g_interrupted && source.next_batch(batch, kBatch) > 0) {
-    if (filter) {
-      filter->classify(batch, verdicts);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (verdicts.verdicts[i] == capture::Verdict::Reject)
-          analyzer.account_frontend_rejected(batch[i]);
-        else
-          analyzer.offer(batch[i],
-                         verdicts.verdicts[i] == capture::Verdict::Admit &&
-                             (verdicts.flags[i] & capture::kFlagOffloadCovered) != 0);
-      }
-    } else {
-      for (const auto& view : batch) analyzer.offer(view);
-    }
-  }
+  std::vector<analysis::EpochReport> completed;  // limits off: stays empty
+  while (!g_interrupted && source.next_batch(batch, kBatch) > 0)
+    engine.offer(batch, lifetime, completed);
   std::signal(SIGINT, SIG_DFL);
   if (g_interrupted)
     std::fprintf(stderr, "\ninterrupted: flushing report over the %llu "
@@ -197,8 +170,10 @@ int monitor_pcap(const char* path, bool frontend, bool frontend_stats,
   if (!source.ok())
     std::fprintf(stderr, "warning: capture ended with error: %s\n",
                  source.error().c_str());
-  analyzer.finish();
-  print_summary(analyzer, source.packets_read());
+  const auto rep = engine.finish().value_or(analysis::EpochReport{});
+  print_summary(rep.counters, rep.health, rep.meeting_count, rep.stream_count,
+                source.packets_read());
+  const auto* filter = engine.frontend();
   if (frontend_stats && filter) {
     std::printf("capture front end (%s probe, %zu flows, %zu candidates):\n",
                 filter->simd_active() ? "SWAR/SSE2" : "scalar",
@@ -410,7 +385,7 @@ int run_daemon(int argc, char** argv) {
       cfg.engine.frontend = false;
     } else if (!std::strcmp(argv[i], "--flow-memory-budget")) {
       if (!want_value("--flow-memory-budget")) return 2;
-      cfg.engine.flow_memory_budget = parse_byte_size(argv[++i]);
+      cfg.engine.flow_memory_budget = util::parse_byte_size(argv[++i]);
       if (cfg.engine.flow_memory_budget == 0) {
         std::fprintf(stderr, "--flow-memory-budget wants a byte count like "
                      "4M or 262144\n");
@@ -551,7 +526,7 @@ int main(int argc, char** argv) {
       } else if (!std::strcmp(argv[i], "--frontend-stats")) {
         frontend_stats = true;
       } else if (!std::strcmp(argv[i], "--flow-memory-budget") && i + 1 < argc) {
-        sketch_budget = parse_byte_size(argv[++i]);
+        sketch_budget = util::parse_byte_size(argv[++i]);
         if (sketch_budget == 0) {
           std::fprintf(stderr, "--flow-memory-budget wants a byte count like "
                        "4M or 262144 (use --no-sketch to disable)\n");
@@ -642,6 +617,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\ninterrupted: flushing report over the simulated "
                  "day so far\n");
   analyzer.finish();
-  print_summary(analyzer, filter.counters().processed);
+  print_summary(analyzer.counters(), analyzer.health(),
+                analyzer.meetings().meeting_count(), analyzer.streams().size(),
+                filter.counters().processed);
   return g_interrupted ? 4 : 0;
 }

@@ -24,9 +24,8 @@
 //   --no-frontend     disable the capture front end (capture/batch_filter):
 //                     every packet takes the full decode path. Results are
 //                     bit-identical either way; this exists for A/B and
-//                     debugging. The front end only applies to the batched
-//                     file path (not --demo / --corrupt, which are
-//                     per-packet).
+//                     debugging. Every input (file, --demo, --corrupt)
+//                     runs through it.
 //   --frontend-stats  print the front end's admit/reject/full-parse
 //                     selectivity counters (the software analogue of the
 //                     paper's Table 5 filter report)
@@ -41,16 +40,19 @@
 //   --sketch-stats    print the sketch tier's report: absorbed
 //                     background volume, promotions / demotions /
 //                     evictions, and the top background heavy hitters
-//   --overload        run the batched file path under the overload
-//                     governor (src/overload). With no injection the
-//                     governor observes zero pressure, stays at L0, and
-//                     the report is byte-identical to an ungoverned run
-//                     (the enabled-under-zero-pressure identity check)
+//   --overload        run the analysis under the overload governor
+//                     (src/overload). A file replay has no live pressure
+//                     signal: with no injection the governor observes
+//                     zero pressure, stays at L0, and the report is
+//                     byte-identical to an ungoverned run (the
+//                     enabled-under-zero-pressure identity check)
 //   --overload-inject <spec>
 //                     deterministic pressure schedule
 //                     "begin-end:pressure[,...]" over global packet
 //                     indices; replaces the real signals so identical
-//                     replays shed identically (implies --overload)
+//                     replays shed identically (implies --overload);
+//                     the shed counts equal the daemon's for the same
+//                     schedule and window, mapped or streamed
 //   --overload-window <pkts>
 //                     governor observation window (default 2048)
 //   --dataplane-offload
@@ -60,13 +62,18 @@
 //                     style RTT probe for the server media flows it can
 //                     classify at fixed offsets, and the host skips its
 //                     per-packet jitter/latency estimator work for those
-//                     covered packets. Requires the front end (batched
-//                     file path). Reports are byte-identical with the
+//                     covered packets. Requires the front end. Reports
+//                     are byte-identical with the
 //                     offload off for uncovered flows; covered streams'
 //                     jitter/latency columns vacate into the offload
 //                     histograms (--offload-stats)
 //   --offload-stats   print the offload's merged histogram registers and
 //                     coverage/collision accounting
+//
+// Every input runs through analysis::EpochEngine — the daemon's ingest
+// driver — as one window with both epoch limits off: the engine builds
+// the front end, the serial or sharded analyzer and the governor, and
+// the report reads its closed-window record and accessors.
 //
 // Exit codes: 0 analyzed, 1 unreadable/empty/garbage input, 2 usage,
 // 3 strict-mode violation, 4 interrupted (SIGINT: ingestion stops at
@@ -82,13 +89,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/epoch.h"
 #include "analysis/tables.h"
 #include "capture/anonymizer.h"
-#include "capture/batch_filter.h"
-#include "core/analyzer.h"
 #include "net/trace_source.h"
-#include "overload/overload.h"
-#include "pipeline/parallel_analyzer.h"
 #include "sim/corruptor.h"
 #include "sim/meeting.h"
 #include "util/csv.h"
@@ -104,23 +108,41 @@ namespace {
 volatile std::sig_atomic_t g_interrupted = 0;
 void on_interrupt(int) { g_interrupted = 1; }
 
-/// The report's view of an analysis run, identical for the serial and
-/// sharded paths. Stream/meeting pointers stay owned by the analyzer.
-struct AnalysisOutput {
-  core::AnalyzerCounters counters;
-  core::AnalyzerHealth health;
-  std::vector<const core::StreamInfo*> streams;
-  const core::MeetingGrouper* meetings = nullptr;
-};
+constexpr std::size_t kBatch = 1024;
 
-void export_csvs(const AnalysisOutput& out, const std::string& prefix) {
+using StreamList = std::span<const core::StreamInfo* const>;
+
+/// Offers owned packets from `next` to the engine in reused batches
+/// (Transient views: the engine copies what it keeps).
+template <class Next>
+void offer_owned(analysis::EpochEngine& engine, Next&& next) {
+  std::vector<net::RawPacket> owned;
+  std::vector<net::RawPacketView> views;
+  std::vector<analysis::EpochReport> completed;  // limits off: stays empty
+  const auto offer = [&] {
+    views.clear();
+    for (const auto& pkt : owned) views.push_back(net::as_view(pkt));
+    engine.offer(views, pipeline::BatchLifetime::Transient, completed);
+    owned.clear();
+  };
+  while (!g_interrupted) {
+    auto pkt = next();
+    if (!pkt) break;
+    owned.push_back(std::move(*pkt));
+    if (owned.size() == kBatch) offer();
+  }
+  offer();
+}
+
+void export_csvs(StreamList stream_list, const core::MeetingGrouper& grouper,
+                 const std::string& prefix) {
   {
     util::CsvWriter streams(prefix + "_streams.csv");
     streams.row({"stream", "ssrc", "media_id", "meeting", "kind", "direction",
                  "client_ip", "first_s", "last_s", "packets", "media_bytes",
                  "jitter_ms", "latency_ms", "duplicates", "reordered", "gaps",
                  "clock_hz", "stalls"});
-    for (const auto* s : out.streams) {
+    for (const auto* s : stream_list) {
       auto loss = s->metrics->total_loss();
       streams.row(
           {std::to_string(s->index), std::to_string(s->key.ssrc),
@@ -150,7 +172,7 @@ void export_csvs(const AnalysisOutput& out, const std::string& prefix) {
     seconds.row({"stream", "t_s", "packets", "media_bytes", "frame_rate",
                  "encoder_fps", "avg_frame_bytes", "jitter_ms", "latency_ms",
                  "duplicates", "reordered"});
-    for (const auto* s : out.streams) {
+    for (const auto* s : stream_list) {
       for (const auto& sec : s->metrics->seconds()) {
         seconds.row({std::to_string(s->index),
                      util::fixed(sec.bin_start.sec(), 0),
@@ -168,7 +190,7 @@ void export_csvs(const AnalysisOutput& out, const std::string& prefix) {
     util::CsvWriter meetings(prefix + "_meetings.csv");
     meetings.row({"meeting", "participants", "media", "streams", "first_s",
                   "last_s", "p2p", "rtt_samples", "mean_rtt_ms"});
-    for (const auto* m : out.meetings->meetings()) {
+    for (const auto* m : grouper.meetings()) {
       double rtt_sum = 0;
       for (const auto& s : m->rtt_to_sfu) rtt_sum += s.rtt.ms();
       meetings.row({std::to_string(m->id), std::to_string(m->active_participants()),
@@ -188,8 +210,9 @@ void export_csvs(const AnalysisOutput& out, const std::string& prefix) {
               prefix.c_str());
 }
 
-void print_report(const AnalysisOutput& out) {
-  const auto& c = out.counters;
+void print_report(const analysis::EpochReport& rep, StreamList streams,
+                  const core::MeetingGrouper& grouper) {
+  const auto& c = rep.counters;
   std::printf("== traffic =====================================================\n");
   std::printf("packets: %s total, %s Zoom (%s)\n",
               util::with_commas(c.total_packets).c_str(),
@@ -215,7 +238,7 @@ void print_report(const AnalysisOutput& out) {
   std::printf("%s", mix.render().c_str());
 
   std::printf("\n== meetings ====================================================\n");
-  for (const auto* m : out.meetings->meetings()) {
+  for (const auto* m : grouper.meetings()) {
     double rtt_sum = 0;
     for (const auto& s : m->rtt_to_sfu) rtt_sum += s.rtt.ms();
     std::printf("meeting %u: %zu participants, %zu media, %.0f s%s", m->id,
@@ -232,7 +255,7 @@ void print_report(const AnalysisOutput& out) {
   util::TextTable t;
   t.header({"ssrc", "kind", "dir", "rate", "fps", "jitter", "clock", "stalls"},
            {util::Align::Right});
-  for (const auto* s : out.streams) {
+  for (const auto* s : streams) {
     double secs = std::max(1.0, (s->last_seen - s->first_seen).sec());
     double rate = static_cast<double>(s->metrics->media_payload_bytes()) * 8 / secs;
     double fps_sum = 0;
@@ -261,7 +284,7 @@ void print_report(const AnalysisOutput& out) {
   // sketch-evicted is still all clear, keeping this section identical
   // with the front end / tier on or off (--frontend-stats and
   // --sketch-stats report the details).
-  auto health_gate = out.health;
+  auto health_gate = rep.health;
   health_gate.frontend_rejected = 0;
   health_gate.sketch_evicted = 0;
   health_gate.overload_shed_l1 = 0;
@@ -277,12 +300,12 @@ void print_report(const AnalysisOutput& out) {
     util::TextTable health;
     health.header({"Counter", "Records", "Dropped?"},
                   {util::Align::Left, util::Align::Right, util::Align::Left});
-    for (const auto& row : analysis::health_rows(out.health))
+    for (const auto& row : analysis::health_rows(rep.health))
       health.row({std::string(row.category), util::with_commas(row.count),
                   row.dropped ? "yes" : "no"});
     std::printf("%s", health.render().c_str());
     std::printf("%s records dropped or quarantined; see docs/ROBUSTNESS.md\n",
-                util::with_commas(out.health.dropped_records()).c_str());
+                util::with_commas(rep.health.dropped_records()).c_str());
   }
 }
 
@@ -309,24 +332,6 @@ void print_offload_histograms(const capture::OffloadReport& rep) {
            util::with_commas(rep.rtt.buckets[b])});
   }
   std::printf("%s", t.render().c_str());
-}
-
-/// "4M", "256K", "1048576" → bytes (binary suffixes). Returns 0 on a
-/// malformed spec; the caller treats that as a usage error.
-std::size_t parse_byte_size(const char* spec) {
-  char* end = nullptr;
-  const auto value = std::strtoull(spec, &end, 10);
-  if (end == spec) return 0;
-  std::size_t scale = 1;
-  switch (*end) {
-    case '\0': break;
-    case 'k': case 'K': scale = std::size_t{1} << 10; ++end; break;
-    case 'm': case 'M': scale = std::size_t{1} << 20; ++end; break;
-    case 'g': case 'G': scale = std::size_t{1} << 30; ++end; break;
-    default: return 0;
-  }
-  if (*end != '\0' || value > (std::size_t{1} << 40) / scale) return 0;
-  return static_cast<std::size_t>(value) * scale;
 }
 
 }  // namespace
@@ -383,7 +388,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--frontend-stats")) {
       frontend_stats = true;
     } else if (!std::strcmp(argv[i], "--flow-memory-budget") && i + 1 < argc) {
-      flow_memory_budget = parse_byte_size(argv[++i]);
+      flow_memory_budget = util::parse_byte_size(argv[++i]);
       if (flow_memory_budget == 0) {
         std::fprintf(stderr,
                      "--flow-memory-budget wants a byte count like 4M or "
@@ -411,8 +416,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  overload::PressureSchedule overload_schedule;
-  if (!overload_inject.empty() && !overload_schedule.parse(overload_inject)) {
+  if (!overload_inject.empty() && !overload::PressureSchedule().parse(overload_inject)) {
     std::fprintf(stderr, "--overload-inject wants "
                  "\"begin-end:pressure[,...]\" over packet indices\n");
     return 2;
@@ -431,44 +435,30 @@ int main(int argc, char** argv) {
     cfg.server_db = zoom::ServerDb(mapped);
   }
 
-  // Either engine may be active; both own the streams the report reads,
-  // so they live until exit.
-  std::optional<core::Analyzer> serial;
-  std::optional<pipeline::ParallelAnalyzer> parallel;
-  if (threads > 1) {
-    pipeline::ParallelAnalyzerConfig par_cfg;
-    par_cfg.analyzer = cfg;
-    par_cfg.shards = threads;
-    parallel.emplace(std::move(par_cfg));
-  } else {
-    serial.emplace(cfg);
+  // One window over the whole input: both epoch limits off.
+  analysis::EpochEngineConfig engine_cfg;
+  engine_cfg.analyzer = cfg;
+  engine_cfg.shards = threads;
+  engine_cfg.frontend = frontend;
+  engine_cfg.flow_memory_budget = sketch ? flow_memory_budget : 0;
+  engine_cfg.dataplane_offload = dataplane_offload;
+  engine_cfg.limits = {0, util::Duration::micros(0)};
+  if (overload_enabled) {
+    engine_cfg.overload.enabled = true;
+    engine_cfg.overload.window_packets = overload_window;
+    // A file replay has no live pressure signal: without a schedule the
+    // governor observes zero pressure (governed-but-calm, L0 forever).
+    engine_cfg.overload.inject = overload_inject.empty() ? "0-1:0" : overload_inject;
   }
-  auto offer = [&](const net::RawPacket& pkt) {
-    if (parallel)
-      parallel->offer(pkt);
-    else
-      serial->offer(pkt);
-  };
 
   // Copied by value: the simulator / corruption queue producing the
   // tallies dies with its branch scope, but the report prints later.
   std::optional<sim::CorruptionStats> corruption;
-  // Declared outside the input branch: Pinned batches alias the mapped
-  // file, so the mapping must outlive ParallelAnalyzer::finish() below.
+  // Declared before the engine: Pinned batches alias the mapped file,
+  // so the mapping must outlive it.
   std::unique_ptr<net::TraceSource> source;
-  // Engaged on the batched file path when the front end is enabled;
-  // outlives the loop so --frontend-stats can read its counters.
-  std::optional<capture::BatchFilter> filter;
-  // Sketch-tier promotions in arrival order (--sketch-stats); side-band
-  // context only, never folded into the standard report.
-  std::vector<capture::BatchVerdicts::Promotion> promotions;
-  // Overload-governor state for the batched path (--overload): this CLI
-  // runs its own small governed loop (the daemon's lives inside
-  // analysis::EpochEngine); the shed tallies and peak level join the
-  // report after finish().
-  std::optional<overload::OverloadGovernor> governor;
-  overload::LoadShedder shedder;
-  int overload_max_level = 0;
+  analysis::EpochEngine engine(std::move(engine_cfg));
+  std::signal(SIGINT, on_interrupt);
   if (input == "--demo") {
     sim::MeetingConfig mc;
     mc.seed = 21;
@@ -483,12 +473,7 @@ int main(int argc, char** argv) {
     mc.participants = {a, b, c};
     if (corrupt_seed) mc.corruption = sim::CorruptorConfig::hostile(*corrupt_seed);
     sim::MeetingSim sim(mc);
-    std::signal(SIGINT, on_interrupt);
-    while (auto pkt = sim.next_packet()) {
-      if (g_interrupted) break;
-      offer(*pkt);
-    }
-    std::signal(SIGINT, SIG_DFL);
+    offer_owned(engine, [&] { return sim.next_packet(); });
     if (const auto* cs = sim.corruption_stats()) corruption = *cs;
   } else {
     source = std::make_unique<net::TraceSource>(input);
@@ -497,7 +482,6 @@ int main(int argc, char** argv) {
                    "pcap/pcapng)\n", input.c_str());
       return 1;
     }
-    std::uint64_t records = 0;
     if (corrupt_seed) {
       // Capture cuts need a trace extent the file does not announce;
       // the other hostile impairments all apply record-by-record, so
@@ -508,92 +492,20 @@ int main(int argc, char** argv) {
         if (!view) return std::nullopt;
         return view->to_owned();
       };
-      std::signal(SIGINT, on_interrupt);
-      while (auto pkt = corruptor.next(pull)) {
-        if (g_interrupted) break;
-        ++records;
-        offer(*pkt);
-      }
-      std::signal(SIGINT, SIG_DFL);
+      offer_owned(engine, [&] { return corruptor.next(pull); });
       corruption = corruptor.corruptor().stats();
     } else {
       // Zero-copy batched fast path: mapped traces are analyzed in
-      // place; unmappable inputs stream through a reused buffer. The
-      // capture front end screens each batch first (unless
-      // --no-frontend): rejects never reach full header decode.
-      constexpr std::size_t kBatch = 1024;
+      // place; unmappable inputs stream through a reused buffer.
       const auto lifetime = source->mapped() ? pipeline::BatchLifetime::Pinned
                                             : pipeline::BatchLifetime::Transient;
-      if (frontend) {
-        capture::BatchFilterConfig fe_cfg;
-        fe_cfg.server_db = cfg.server_db;
-        fe_cfg.shards = threads;
-        fe_cfg.flow_memory_budget = sketch ? flow_memory_budget : 0;
-        fe_cfg.dataplane_offload = dataplane_offload;
-        filter.emplace(std::move(fe_cfg));
-      }
       std::vector<net::RawPacketView> batch;
       batch.reserve(kBatch);
-      capture::BatchVerdicts verdicts;
-      if (overload_enabled) governor.emplace(overload::GovernorConfig{});
-      std::vector<net::RawPacketView> shed_run;
-      capture::BatchVerdicts shed_verdicts;
-      std::uint64_t offered = 0;
-      std::uint64_t next_observe = overload_window;
-      std::signal(SIGINT, on_interrupt);
-      while (!g_interrupted && source->next_batch(batch, kBatch) > 0) {
-        records += batch.size();
-        const int level = governor ? governor->level() : 0;
-        if (level > 0) overload_max_level = std::max(overload_max_level, level);
-        if (level >= overload::kMaxLevel) {
-          // L4: whole-batch head-drop, fully accounted, nothing decoded.
-          shedder.apply(level, batch, nullptr, shed_run, shed_verdicts);
-        } else if (filter) {
-          filter->classify(batch, verdicts);
-          promotions.insert(promotions.end(), verdicts.promotions.begin(),
-                            verdicts.promotions.end());
-          std::span<const net::RawPacketView> dispatch(batch);
-          const capture::BatchVerdicts* v = &verdicts;
-          if (level > 0 &&
-              shedder.apply(level, batch, &verdicts, shed_run, shed_verdicts)) {
-            dispatch = shed_run;
-            v = &shed_verdicts;
-          }
-          if (parallel) {
-            parallel->offer_batch(dispatch, lifetime, *v);
-          } else {
-            for (std::size_t i = 0; i < dispatch.size(); ++i) {
-              if (v->verdicts[i] == capture::Verdict::Reject)
-                serial->account_frontend_rejected(dispatch[i]);
-              else
-                serial->offer(dispatch[i],
-                              v->verdicts[i] == capture::Verdict::Admit &&
-                                  (v->flags[i] & capture::kFlagOffloadCovered) != 0);
-            }
-          }
-        } else if (parallel) {
-          parallel->offer_batch(batch, lifetime);
-        } else {
-          for (const auto& view : batch) serial->offer(view);
-        }
-        if (governor) {
-          // Observe at window boundaries over the offered-packet index.
-          // A file replay has no ring/kernel signals; pressure is the
-          // injection schedule, or zero (governed-but-calm: L0 forever,
-          // byte-identical to an ungoverned run by construction).
-          offered += batch.size();
-          while (offered >= next_observe) {
-            governor->observe_pressure(
-                overload_schedule.empty()
-                    ? 0.0
-                    : overload_schedule.pressure_at(next_observe));
-            next_observe += overload_window;
-          }
-        }
-      }
-      std::signal(SIGINT, SIG_DFL);
+      std::vector<analysis::EpochReport> completed;  // limits off: stays empty
+      while (!g_interrupted && source->next_batch(batch, kBatch) > 0)
+        engine.offer(batch, lifetime, completed);
     }
-    if (records == 0) {
+    if (engine.global_packets() == 0) {
       std::fprintf(stderr, "error: %s: %s\n", input.c_str(),
                    source->ok() ? "capture contains no records"
                                : source->error().c_str());
@@ -604,61 +516,31 @@ int main(int argc, char** argv) {
                    source->error().c_str());
     }
   }
+  std::signal(SIGINT, SIG_DFL);
 
   if (g_interrupted)
     std::fprintf(stderr, "\ninterrupted: draining and reporting over the "
                  "packets analyzed so far\n");
-  AnalysisOutput out;
-  std::optional<core::StrictViolation> violation;
-  if (parallel) {
-    parallel->finish();
-    out.counters = parallel->counters();
-    out.health = parallel->health();
-    violation = parallel->strict_violation();
-    out.streams.assign(parallel->streams().begin(), parallel->streams().end());
-    out.meetings = &parallel->meetings();
-  } else {
-    serial->finish();
-    out.counters = serial->counters();
-    out.health = serial->health();
-    violation = serial->strict_violation();
-    out.streams.reserve(serial->streams().streams().size());
-    for (const auto& s : serial->streams().streams()) out.streams.push_back(s.get());
-    out.meetings = &serial->meetings();
-  }
-  // The sketch tier lives in the capture front end, not the analyzer;
-  // its eviction churn joins the health report here.
-  if (filter) out.health.sketch_evicted = filter->sketch_evicted();
-  // So does the data-plane offload's coverage/churn accounting.
-  if (filter && filter->offload_enabled()) {
-    const auto orep = filter->offload_report();
-    out.health.offload_covered_packets = orep.covered_packets;
-    out.health.offload_collisions = orep.collisions();
-    out.health.offload_evictions = orep.flow_evictions;
-  }
-  // Same for the overload shedder: every shed packet is accounted by
-  // the level that shed it (the conservation check's right-hand side).
-  const auto& shed = shedder.stats();
-  out.health.overload_shed_l1 = shed.l1_packets;
-  out.health.overload_shed_l2 = shed.l2_packets;
-  out.health.overload_shed_l3 = shed.l3_packets;
-  out.health.overload_shed_l4 = shed.l4_packets;
-  if (overload_max_level >= 3)
-    std::printf("NOTE: report degraded — overload reached L%d "
+  analysis::EpochReport rep = engine.finish().value_or(analysis::EpochReport{});
+  // A file run reads its one window and never retires it.
+  rep.health.epoch_evicted_flows = 0;
+  rep.health.epoch_evicted_meetings = 0;
+  if (rep.max_overload_level >= 3)
+    std::printf("NOTE: report degraded — overload reached L%u "
                 "(media-flow sampling%s); metrics cover the sampled "
                 "subset\n",
-                overload_max_level,
-                overload_max_level >= 4 ? " + batch head-drop" : "");
-  if (overload_max_level > 0)
-    std::printf("overload: max level L%d, shed l1=%llu l2=%llu l3=%llu "
+                rep.max_overload_level,
+                rep.max_overload_level >= 4 ? " + batch head-drop" : "");
+  if (rep.max_overload_level > 0)
+    std::printf("overload: max level L%u, shed l1=%llu l2=%llu l3=%llu "
                 "l4=%llu\n\n",
-                overload_max_level,
-                static_cast<unsigned long long>(shed.l1_packets),
-                static_cast<unsigned long long>(shed.l2_packets),
-                static_cast<unsigned long long>(shed.l3_packets),
-                static_cast<unsigned long long>(shed.l4_packets));
+                rep.max_overload_level,
+                static_cast<unsigned long long>(rep.health.overload_shed_l1),
+                static_cast<unsigned long long>(rep.health.overload_shed_l2),
+                static_cast<unsigned long long>(rep.health.overload_shed_l3),
+                static_cast<unsigned long long>(rep.health.overload_shed_l4));
 
-  if (violation) {
+  if (const auto violation = engine.strict_violation()) {
     std::fprintf(stderr,
                  "strict: malformed record (%.*s) at packet %llu, t=%.6f s\n",
                  static_cast<int>(violation->category.size()),
@@ -687,13 +569,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(cs.lookalikes_injected));
   }
 
-  print_report(out);
+  const auto streams = engine.streams();
+  print_report(rep, streams, engine.meetings());
 
+  const auto* filter = engine.frontend();
   if (frontend_stats) {
     std::printf("\n== capture front end ===========================================\n");
     if (!filter) {
-      std::printf("front end not active on this path (%s)\n",
-                  frontend ? "per-packet input path" : "--no-frontend");
+      std::printf("front end not active on this path (--no-frontend)\n");
     } else {
       util::TextTable fe;
       fe.header({"Counter", "Packets", "Description"},
@@ -712,9 +595,7 @@ int main(int argc, char** argv) {
     std::printf("\n== sketch flow tier ============================================\n");
     if (!filter || !filter->sketch_enabled()) {
       std::printf("sketch tier not active (%s)\n",
-                  !sketch ? "--no-sketch"
-                  : filter ? "zero budget"
-                           : "front end not on this path");
+                  !sketch ? "--no-sketch" : "front end not on this path");
     } else {
       const auto report = filter->sketch_report(10);
       const auto& ts = report.stats;
@@ -726,16 +607,10 @@ int main(int argc, char** argv) {
                   util::with_commas(ts.promotions).c_str(),
                   util::with_commas(ts.demotions).c_str(),
                   util::with_commas(ts.evictions).c_str());
-      if (!promotions.empty()) {
-        std::uint64_t carried_pkts = 0, carried_bytes = 0;
-        for (const auto& p : promotions) {
-          carried_pkts += p.carried.packets;
-          carried_bytes += p.carried.bytes;
-        }
+      if (filter->stats().promoted_packets > 0)
         std::printf("promoted flows carried %s pre-admission packets (%s)\n",
-                    util::with_commas(carried_pkts).c_str(),
-                    util::human_bytes(carried_bytes).c_str());
-      }
+                    util::with_commas(filter->stats().promoted_packets).c_str(),
+                    util::human_bytes(filter->stats().promoted_bytes).c_str());
       if (!report.heavy_hitters.empty()) {
         util::TextTable hh;
         hh.header({"Background flow", "Bytes", "Packets", "Err bytes"},
@@ -754,7 +629,7 @@ int main(int argc, char** argv) {
     if (!filter || !filter->offload_enabled()) {
       std::printf("offload not active (%s)\n",
                   filter ? "pass --dataplane-offload to enable"
-                         : "front end not on this path");
+                     : "front end not on this path");
     } else {
       const auto orep = filter->offload_report();
       std::printf("covered %s media packets | probe arms %s | rtt samples %s\n",
@@ -770,6 +645,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!csv_prefix.empty()) export_csvs(out, csv_prefix);
+  if (!csv_prefix.empty()) export_csvs(streams, engine.meetings(), csv_prefix);
   return g_interrupted ? 4 : 0;
 }

@@ -1,8 +1,9 @@
 #include "analysis/campus_run.h"
 
 #include <cstdlib>
+#include <span>
 
-#include "pipeline/parallel_analyzer.h"
+#include "analysis/epoch.h"
 
 namespace zpm::analysis {
 
@@ -20,9 +21,8 @@ std::vector<net::Ipv4Subnet> anonymize_subnets(
   return out;
 }
 
-/// Folds per-stream metrics into the result. Shared by the serial and
-/// sharded paths so both produce the exact same output.
-void extract_streams(const std::vector<const core::StreamInfo*>& streams,
+/// Folds per-stream metrics into the result.
+void extract_streams(std::span<const core::StreamInfo* const> streams,
                      util::Duration rate_bin, CampusRunResult& result) {
   // Campus runs produce millions of rows; size the buffers once.
   std::size_t total_seconds = 0;
@@ -84,52 +84,50 @@ CampusRunResult run_campus(const CampusRunConfig& config) {
   util::IntervalBinner all_rate(config.rate_bin);
   util::IntervalBinner zoom_rate(config.rate_bin);
 
-  auto ingest = [&](auto&& offer) {
-    while (auto pkt = campus.next_packet()) {
-      if (result.first_packet.is_zero()) result.first_packet = pkt->ts;
-      result.last_packet = pkt->ts;
-      all_rate.add(pkt->ts);
-      auto kept = filter.process(*pkt);
-      if (!kept) continue;
-      zoom_rate.add(kept->ts);
-      offer(std::move(*kept));
-    }
+  // The analyzer side is the daemon's ingest driver, run as one window
+  // (both epoch limits off). Packets arrive already screened by the
+  // P4-style capture filter, so the engine's own front end stays off.
+  EpochEngineConfig engine_cfg;
+  engine_cfg.analyzer = an_cfg;
+  engine_cfg.shards = config.analysis_threads;
+  engine_cfg.frontend = false;
+  engine_cfg.limits = {0, util::Duration::micros(0)};
+  EpochEngine engine(std::move(engine_cfg));
+
+  constexpr std::size_t kBatch = 1024;
+  std::vector<net::RawPacket> kept_batch;
+  std::vector<net::RawPacketView> views;
+  std::vector<EpochReport> completed;  // limits off: stays empty
+  const auto offer_kept = [&] {
+    views.clear();
+    for (const auto& pkt : kept_batch) views.push_back(net::as_view(pkt));
+    engine.offer(views, pipeline::BatchLifetime::Transient, completed);
+    kept_batch.clear();
   };
-
-  std::vector<const core::StreamInfo*> streams;
-  if (config.analysis_threads > 1) {
-    pipeline::ParallelAnalyzerConfig par_cfg;
-    par_cfg.analyzer = an_cfg;
-    par_cfg.shards = config.analysis_threads;
-    pipeline::ParallelAnalyzer analyzer(par_cfg);
-    ingest([&](net::RawPacket pkt) { analyzer.offer(std::move(pkt)); });
-    analyzer.finish();
-
-    result.counters = analyzer.counters();
-    result.stream_count = analyzer.streams().size();
-    result.media_count = analyzer.media_count();
-    result.meeting_count = analyzer.meetings().meeting_count();
-    result.zoom_flow_count = analyzer.zoom_flow_count();
-    result.health = analyzer.health();
-    result.strict_violation = analyzer.strict_violation();
-    streams.assign(analyzer.streams().begin(), analyzer.streams().end());
-    extract_streams(streams, config.rate_bin, result);
-  } else {
-    core::Analyzer analyzer(an_cfg);
-    ingest([&](net::RawPacket pkt) { analyzer.offer(pkt); });
-    analyzer.finish();
-
-    result.counters = analyzer.counters();
-    result.stream_count = analyzer.streams().size();
-    result.media_count = analyzer.streams().media_count();
-    result.meeting_count = analyzer.meetings().meeting_count();
-    result.zoom_flow_count = analyzer.zoom_flow_count();
-    result.health = analyzer.health();
-    result.strict_violation = analyzer.strict_violation();
-    streams.reserve(analyzer.streams().streams().size());
-    for (const auto& s : analyzer.streams().streams()) streams.push_back(s.get());
-    extract_streams(streams, config.rate_bin, result);
+  while (auto pkt = campus.next_packet()) {
+    if (result.first_packet.is_zero()) result.first_packet = pkt->ts;
+    result.last_packet = pkt->ts;
+    all_rate.add(pkt->ts);
+    auto kept = filter.process(*pkt);
+    if (!kept) continue;
+    zoom_rate.add(kept->ts);
+    kept_batch.push_back(std::move(*kept));
+    if (kept_batch.size() == kBatch) offer_kept();
   }
+  offer_kept();
+
+  const EpochReport rep = engine.finish().value_or(EpochReport{});
+  result.counters = rep.counters;
+  result.stream_count = rep.stream_count;
+  result.media_count = rep.media_count;
+  result.meeting_count = rep.meeting_count;
+  result.zoom_flow_count = rep.zoom_flow_count;
+  result.health = rep.health;
+  // The run reads its one window and never retires it.
+  result.health.epoch_evicted_flows = 0;
+  result.health.epoch_evicted_meetings = 0;
+  result.strict_violation = engine.strict_violation();
+  extract_streams(engine.streams(), config.rate_bin, result);
 
   result.sim_summary = campus.summary();
   result.capture = filter.counters();

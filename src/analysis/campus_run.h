@@ -1,7 +1,7 @@
 // Shared end-to-end experiment driver: campus simulation -> P4 capture
-// filter -> anonymization -> passive analyzer. Every campus-scale table
-// and figure bench runs through this once and reads different slices of
-// the result.
+// filter -> anonymization -> passive analyzer (an analysis::EpochEngine
+// run as one window). Every campus-scale table and figure bench runs
+// through this once and reads different slices of the result.
 #pragma once
 
 #include <map>
@@ -27,8 +27,9 @@ struct CampusRunConfig {
   util::Duration rate_bin = util::Duration::seconds(60);
   /// Frame-record subsampling inside the analyzer (memory bound).
   std::uint32_t frame_sample_every = 4;
-  /// Analyzer shards. 1 = legacy serial path; >1 routes packets through
-  /// pipeline::ParallelAnalyzer (results are bit-identical either way).
+  /// Analyzer shards of the run's EpochEngine: 1 = serial analyzer, >1 =
+  /// sharded pipeline. Results, health included, are bit-identical
+  /// either way.
   std::size_t analysis_threads = 1;
   /// Abort analysis at the first malformed record (core::AnalyzerConfig
   /// strict mode); the violation lands in CampusRunResult.

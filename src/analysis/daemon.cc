@@ -329,8 +329,12 @@ void MonitorDaemon::reload_config_file() {
 
 void MonitorDaemon::final_flush() {
   query::EpochSliceSet last_slices;
-  if (auto report = engine_->flush(&last_slices))
-    on_epoch(*report, last_slices.empty() ? nullptr : &last_slices);
+  const auto report = engine_->finish(&last_slices);
+  const overload::GovernorStats gov = engine_->governor_stats();
+  // Persist the last epoch with its window already released, as a
+  // rotation does: the closed analyzer state is never read again.
+  engine_.reset();
+  if (report) on_epoch(*report, last_slices.empty() ? nullptr : &last_slices);
   if (journal_.is_open()) {
     std::string error;
     if (journal_.finalize(&error)) {
@@ -346,7 +350,6 @@ void MonitorDaemon::final_flush() {
                    error.c_str());
     }
   }
-  const overload::GovernorStats gov = engine_->governor_stats();
   stats_.overload_escalations = gov.escalations;
   stats_.overload_recoveries = gov.recoveries;
   stats_.overload_max_level = gov.max_level;

@@ -282,7 +282,6 @@ void EpochEngine::open_epoch() {
   packets_ = 0;
   first_ts_ = util::Timestamp{};
   last_ts_ = util::Timestamp{};
-  epoch_open_ = true;
 }
 
 bool EpochEngine::rotate_before(util::Timestamp ts) const {
@@ -424,23 +423,16 @@ EpochReport EpochEngine::close_epoch(query::EpochSliceSet* slices) {
   rep.packets = packets_;
   rep.first_ts = first_ts_;
   rep.last_ts = last_ts_;
-  if (parallel_) {
-    parallel_->finish();
-    rep.counters = parallel_->counters();
-    rep.health = parallel_->health();
-    rep.stream_count = parallel_->streams().size();
-    rep.media_count = parallel_->media_count();
-    rep.meeting_count = parallel_->meetings().meeting_count();
-    rep.zoom_flow_count = parallel_->zoom_flow_count();
-  } else {
-    serial_->finish();
-    rep.counters = serial_->counters();
-    rep.health = serial_->health();
-    rep.stream_count = serial_->streams().size();
-    rep.media_count = serial_->streams().media_count();
-    rep.meeting_count = serial_->meetings().meeting_count();
-    rep.zoom_flow_count = serial_->zoom_flow_count();
-  }
+  finish_analyzer();
+  const auto stream_list = streams();
+  rep.counters = parallel_ ? parallel_->counters() : serial_->counters();
+  rep.health = parallel_ ? parallel_->health() : serial_->health();
+  rep.stream_count = stream_list.size();
+  rep.media_count =
+      parallel_ ? parallel_->media_count() : serial_->streams().media_count();
+  rep.meeting_count = meetings().meeting_count();
+  rep.zoom_flow_count =
+      parallel_ ? parallel_->zoom_flow_count() : serial_->zoom_flow_count();
   if (filter_) {
     rep.health.sketch_evicted = filter_->sketch_evicted();
     auto tier = filter_->sketch_report(config_.heavy_hitter_limit);
@@ -489,22 +481,10 @@ EpochReport EpochEngine::close_epoch(query::EpochSliceSet* slices) {
     util::ByteWriter report_bytes(1024);
     encode_epoch_report(rep, report_bytes);
     src.report = report_bytes.view();
-    if (parallel_) {
-      const auto& streams = parallel_->streams();
-      src.streams = std::span<const core::StreamInfo* const>(
-          streams.data(), streams.size());
-      src.grouper = &parallel_->meetings();
-      query::build_epoch_slices(src, *slices);
-    } else {
-      slice_streams_.clear();
-      for (const auto& s : serial_->streams().streams())
-        slice_streams_.push_back(s.get());
-      src.streams = slice_streams_;
-      src.grouper = &serial_->meetings();
-      query::build_epoch_slices(src, *slices);
-    }
+    src.streams = stream_list;
+    src.grouper = &meetings();
+    query::build_epoch_slices(src, *slices);
   }
-  epoch_open_ = false;
   return rep;
 }
 
@@ -513,6 +493,37 @@ std::optional<EpochReport> EpochEngine::flush(query::EpochSliceSet* slices) {
   EpochReport rep = close_epoch(slices);
   open_epoch();
   return rep;
+}
+
+std::optional<EpochReport> EpochEngine::finish(query::EpochSliceSet* slices) {
+  if (packets_ > 0) return close_epoch(slices);
+  finish_analyzer();
+  return std::nullopt;
+}
+
+void EpochEngine::finish_analyzer() {
+  if (parallel_)
+    parallel_->finish();
+  else
+    serial_->finish();
+}
+
+std::span<const core::StreamInfo* const> EpochEngine::streams() const {
+  if (parallel_) {
+    const auto& list = parallel_->streams();
+    return {list.data(), list.size()};
+  }
+  stream_list_.clear();
+  for (const auto& s : serial_->streams().streams()) stream_list_.push_back(s.get());
+  return stream_list_;
+}
+
+const core::MeetingGrouper& EpochEngine::meetings() const {
+  return parallel_ ? parallel_->meetings() : serial_->meetings();
+}
+
+std::optional<core::StrictViolation> EpochEngine::strict_violation() const {
+  return parallel_ ? parallel_->strict_violation() : serial_->strict_violation();
 }
 
 void EpochEngine::stage_config(const core::AnalyzerConfig& analyzer,

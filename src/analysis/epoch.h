@@ -60,8 +60,7 @@ struct EpochLimits {
   }
 };
 
-/// Engine configuration. `analyzer`/`frontend`/`flow_memory_budget`
-/// mirror the zpm_analyze pipeline; `shards` > 1 routes through
+/// Engine configuration. `shards` > 1 routes through
 /// pipeline::ParallelAnalyzer (epoch records are bit-identical).
 struct EpochEngineConfig {
   core::AnalyzerConfig analyzer;
@@ -138,6 +137,10 @@ bool decode_epoch_report(util::ByteReader& r, EpochReport& report);
 
 /// See file comment. Single producer thread; drives a serial Analyzer
 /// or a ParallelAnalyzer per epoch plus an optional capture front end.
+/// It is the one ingest driver: the daemon rotates it, while the file
+/// surfaces (zpm_analyze, campus_monitor --pcap, run_campus) run it as
+/// one window with both limits off, finish() it and read the report
+/// and the closed-window accessors.
 class EpochEngine {
  public:
   explicit EpochEngine(EpochEngineConfig config);
@@ -161,6 +164,27 @@ class EpochEngine {
   /// nullopt when the current epoch is empty. With `collect_journal`,
   /// the closed epoch's slices land in `*slices` when non-null.
   std::optional<EpochReport> flush(query::EpochSliceSet* slices = nullptr);
+
+  /// Closes the in-progress epoch for good: the record (and `*slices`)
+  /// are byte-identical to what flush() would return, but no next epoch
+  /// opens, so no fresh front end or shard workers are built only to be
+  /// torn down. nullopt when the epoch is empty. The closed window stays
+  /// readable through the accessors below; offer()/flush()/finish() must
+  /// not be called again.
+  std::optional<EpochReport> finish(query::EpochSliceSet* slices = nullptr);
+
+  // --- Closed window (valid after finish()) ------------------------------
+
+  /// The window's streams in report order, one list for the serial and
+  /// sharded modes (serial mode rebuilds it into reused scratch).
+  [[nodiscard]] std::span<const core::StreamInfo* const> streams() const;
+  [[nodiscard]] const core::MeetingGrouper& meetings() const;
+  /// First malformed record when `analyzer.strict` is set.
+  [[nodiscard]] std::optional<core::StrictViolation> strict_violation() const;
+  /// The capture front end; null when `frontend` is off.
+  [[nodiscard]] const capture::BatchFilter* frontend() const {
+    return filter_ ? &*filter_ : nullptr;
+  }
 
   /// Immediate limit change (SIGHUP): applies to the current epoch too,
   /// so a shortened span can close it on the very next packet.
@@ -218,6 +242,8 @@ class EpochEngine {
 
  private:
   void open_epoch();
+  /// Drains the window's analyzer so its results are final.
+  void finish_analyzer();
   /// With journal collection on and `slices` non-null, also builds the
   /// closed epoch's journal slices — after the report's gauge zeroing,
   /// so the slice-carried report bytes equal the durable epoch record.
@@ -255,14 +281,13 @@ class EpochEngine {
   int epoch_max_level_ = 0;
   std::vector<net::RawPacketView> shed_run_;  // shedder scratch, reused
   capture::BatchVerdicts shed_verdicts_;
-  std::vector<const core::StreamInfo*> slice_streams_;  // slice-build scratch
+  mutable std::vector<const core::StreamInfo*> stream_list_;  // streams() scratch
 
   std::uint64_t next_seq_ = 0;
   std::uint64_t global_packets_ = 0;  // next packet's global index
   std::uint64_t packets_ = 0;         // offered to the current epoch
   util::Timestamp first_ts_;
   util::Timestamp last_ts_;
-  bool epoch_open_ = false;
 };
 
 }  // namespace zpm::analysis

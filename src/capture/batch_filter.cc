@@ -525,9 +525,12 @@ void BatchFilter::resolve(std::span<const net::RawPacketView> batch,
     if (hit.inserted && !tiers_.empty()) {
       const sketch::FlowStats carried =
           tiers_[hash % tiers_.size()].promote(key, hash);
-      if (carried.packets > 0)
+      if (carried.packets > 0) {
         out.promotions.push_back(
             BatchVerdicts::Promotion{canonical, hit.shard, carried});
+        stats_.promoted_packets += carried.packets;
+        stats_.promoted_bytes += carried.bytes;
+      }
     }
   }
 }

@@ -131,6 +131,10 @@ struct FrontEndStats {
   std::uint64_t offload_covered = 0;    ///< admits with kFlagOffloadCovered
   std::uint64_t offload_collisions = 0; ///< probe + telemetry slot overwrites
   std::uint64_t offload_evictions = 0;  ///< jitter scratch slot overwrites
+  /// Pre-admission aggregate handed over by sketch-tier promotions
+  /// (the sum of every BatchVerdicts::Promotion::carried).
+  std::uint64_t promoted_packets = 0;
+  std::uint64_t promoted_bytes = 0;
 };
 
 /// Stage 2: open-addressing flat map from packed canonical 5-tuples to

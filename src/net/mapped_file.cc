@@ -44,13 +44,16 @@ void MappedFile::reset() {
 MappedFile MappedFile::open(const std::string& path) {
   MappedFile mf;
 #ifdef ZPM_HAVE_MMAP
-  // O_NONBLOCK: opening a FIFO for reading would otherwise block until
-  // a writer arrives, and closing it again (it cannot be mapped) would
-  // leave that writer facing a reader-less pipe before the streaming
-  // fallback reopens it. Regular files ignore the flag.
+  // Only regular files are opened here. Any open of a FIFO for reading,
+  // even a non-blocking one, completes a writer already waiting in its
+  // own open(); closing it again (a FIFO cannot be mapped) would leave
+  // that writer facing a reader-less pipe (SIGPIPE) before the
+  // streaming fallback reopens it. O_NONBLOCK still covers a path that
+  // turns into a FIFO between the stat and the open.
+  struct stat st{};
+  if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) return mf;
   int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
   if (fd < 0) return mf;
-  struct stat st{};
   if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
     ::close(fd);
     return mf;

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace zpm::util {
@@ -77,6 +78,22 @@ std::vector<std::string> split(const std::string& s, char delim) {
   while (std::getline(stream, item, delim)) out.push_back(item);
   if (!s.empty() && s.back() == delim) out.emplace_back();
   return out;
+}
+
+std::size_t parse_byte_size(const char* spec) {
+  char* end = nullptr;
+  const auto value = std::strtoull(spec, &end, 10);
+  if (end == spec) return 0;
+  std::size_t scale = 1;
+  switch (*end) {
+    case '\0': break;
+    case 'k': case 'K': scale = std::size_t{1} << 10; ++end; break;
+    case 'm': case 'M': scale = std::size_t{1} << 20; ++end; break;
+    case 'g': case 'G': scale = std::size_t{1} << 30; ++end; break;
+    default: return 0;
+  }
+  if (*end != '\0' || value > (std::size_t{1} << 40) / scale) return 0;
+  return static_cast<std::size_t>(value) * scale;
 }
 
 }  // namespace zpm::util

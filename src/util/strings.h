@@ -1,6 +1,7 @@
 // Small formatting helpers shared by examples, benches and reports.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -27,5 +28,10 @@ std::string clock_label(std::int64_t seconds_since_midnight);
 
 /// Splits on a delimiter; keeps empty fields.
 std::vector<std::string> split(const std::string& s, char delim);
+
+/// "4M", "256K", "1048576" → bytes (binary K/M/G suffixes, capped at
+/// 1 TiB). Returns 0 on a malformed or oversized spec; CLIs treat that
+/// as a usage error.
+std::size_t parse_byte_size(const char* spec);
 
 }  // namespace zpm::util

@@ -136,6 +136,7 @@ TEST(CampusRun, ShardedRunMatchesSerial) {
   EXPECT_EQ(serial.media_count, sharded.media_count);
   EXPECT_EQ(serial.meeting_count, sharded.meeting_count);
   EXPECT_EQ(serial.zoom_flow_count, sharded.zoom_flow_count);
+  EXPECT_EQ(serial.health, sharded.health);
   ASSERT_EQ(serial.samples.size(), sharded.samples.size());
   for (std::size_t i = 0; i < serial.samples.size(); ++i) {
     EXPECT_EQ(serial.samples[i].kind, sharded.samples[i].kind) << i;

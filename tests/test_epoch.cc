@@ -229,6 +229,42 @@ TEST(EpochEngine, FlushOnEmptyEpochIsNullopt) {
   EXPECT_EQ(engine.next_seq(), 1u);
 }
 
+TEST(EpochEngine, FinishWritesFlushBytesAndKeepsWindowReadable) {
+  // finish() is flush() without opening a next window: same record and
+  // journal slices, and the closed window stays readable afterwards.
+  const auto views = views_of(meeting_packets());
+  for (const std::size_t shards : {1u, 3u}) {
+    EpochEngineConfig config;
+    config.shards = shards;
+    config.collect_journal = true;
+    config.limits = {0, util::Duration::micros(0)};
+    EpochEngine flushed(config);
+    EpochEngine finished(config);
+    std::vector<EpochReport> completed;
+    flushed.offer(views, pipeline::BatchLifetime::Pinned, completed);
+    finished.offer(views, pipeline::BatchLifetime::Pinned, completed);
+    EXPECT_TRUE(completed.empty());
+    query::EpochSliceSet flush_slices, finish_slices;
+    const auto a = flushed.flush(&flush_slices);
+    const auto b = finished.finish(&finish_slices);
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    EXPECT_EQ(encode(*a), encode(*b)) << shards;
+    EXPECT_EQ(flush_slices, finish_slices) << shards;
+    EXPECT_EQ(finished.next_seq(), 1u);
+
+    EXPECT_EQ(finished.streams().size(), b->stream_count);
+    EXPECT_GT(b->stream_count, 0u);
+    EXPECT_EQ(finished.meetings().meeting_count(), b->meeting_count);
+    EXPECT_FALSE(finished.strict_violation().has_value());
+    ASSERT_NE(finished.frontend(), nullptr);
+    EXPECT_EQ(finished.frontend()->stats().packets, views.size());
+  }
+  // An empty window finishes to nullopt and still reads as empty.
+  EpochEngine empty{EpochEngineConfig{}};
+  EXPECT_FALSE(empty.finish().has_value());
+  EXPECT_TRUE(empty.streams().empty());
+}
+
 TEST(EpochReportCodec, RoundTripsAndRejectsTruncation) {
   EpochEngineConfig config;
   config.limits.max_packets = 1200;

@@ -51,6 +51,16 @@ TEST(Split, KeepsEmptyFields) {
   EXPECT_EQ(split("x,", ',').size(), 2u);
 }
 
+TEST(ParseByteSize, BinarySuffixesAndCap) {
+  EXPECT_EQ(parse_byte_size("4M"), std::size_t{4} << 20);
+  EXPECT_EQ(parse_byte_size("262144"), 262144u);
+  EXPECT_EQ(parse_byte_size("0"), 0u);
+  EXPECT_EQ(parse_byte_size("1T"), 0u);     // unknown suffix
+  EXPECT_EQ(parse_byte_size(""), 0u);       // no digits
+  EXPECT_EQ(parse_byte_size("2048G"), 0u);  // 2 TiB, over the 1 TiB cap
+  EXPECT_EQ(parse_byte_size("1024G"), std::size_t{1} << 40);
+}
+
 TEST(TimeTypes, DurationArithmetic) {
   auto d = Duration::millis(1500);
   EXPECT_EQ(d.us(), 1'500'000);

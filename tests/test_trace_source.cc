@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -491,6 +493,31 @@ TEST(TraceSource, StreamingFallbackOverFifoMatchesMapped) {
       }
     }
   }
+}
+
+TEST(MappedFile, ProbingAFifoDoesNotWakeAWaitingWriter) {
+  // A writer started first (`cat trace > fifo & zpm_analyze fifo`) sits
+  // in open() until a reader opens. The mapping probe must not be that
+  // reader: it would close again at once and leave the writer facing a
+  // reader-less pipe before the streaming fallback reopens the FIFO.
+  const std::string path = temp_path("zpm_ts_probe.fifo");
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::atomic<bool> opened{false};
+  std::thread writer([&] {
+    const int fd = ::open(path.c_str(), O_WRONLY);  // waits for a reader
+    opened = true;
+    if (fd >= 0) ::close(fd);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(MappedFile::open(path).valid());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(opened.load());
+  // Release the writer.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  writer.join();
+  if (fd >= 0) ::close(fd);
+  std::remove(path.c_str());
 }
 
 /// Runs a serial analyzer over a capture file via the given drain and
