@@ -4,67 +4,21 @@
 // This is the "capacity planning / troubleshooting" use case from §1.
 //
 // Usage: campus_monitor [hours] [meetings_per_peak_hour]
-//        campus_monitor --pcap <capture.pcap[ng]> [--no-frontend]
-//                       [--frontend-stats] [--flow-memory-budget <bytes>]
-//                       [--no-sketch] [--sketch-stats] [--dataplane-offload]
-//        campus_monitor --make-trace <out.pcap> [--minutes <m>]
-//                       [--meetings <per-peak-hour>] [--seed <n>]
-//                       [--burst <period-seconds>] [--burst-flows <n>]
-//        campus_monitor --daemon (--replay <trace> | --live <iface>)
-//                       [--loops <n>] [--pace-pps <pps>]
-//                       [--stall-after <pkts>] [--epoch-packets <n>]
-//                       [--epoch-seconds <s>] [--snapshot <file>]
-//                       [--report-dir <dir>] [--site <name>] [--no-journal]
-//                       [--config <file>]
-//                       [--watchdog-seconds <s>] [--threads <n>]
-//                       [--halt-after-epochs <n>] [--no-frontend]
-//                       [--flow-memory-budget <bytes>] [--quiet]
-//                       [--overload | --no-overload]
-//                       [--overload-window <pkts>] [--overload-inject <spec>]
-//                       [--overload-high <x>] [--overload-low <x>]
-//                       [--bounded-push] [--slow-shard <i>] [--slow-us <us>]
-//                       [--dataplane-offload]
+//        campus_monitor --pcap <capture.pcap[ng]> [options]
+//        campus_monitor --make-trace <out.pcap> [options]
+//        campus_monitor --daemon (--replay <trace> | --live <iface>) [options]
 //
-// With --pcap the monitor replays a recorded capture using the
-// zero-copy batched ingest path, through analysis::EpochEngine — the
-// daemon's ingest driver — as one window with both epoch limits off.
-// The engine screens each batch with the capture front end
-// (capture/batch_filter) first — the software stand-in for the paper's
-// Tofino filter — unless --no-frontend; results are bit-identical
-// either way.
-// --frontend-stats prints the filter's selectivity counters with the
-// day summary. The front end's sketch tier summarizes the rejected
-// background flows within --flow-memory-budget bytes (K/M/G suffixes,
-// default 1M; --no-sketch disables it); --sketch-stats prints the
-// absorbed volume and top background heavy hitters. --dataplane-offload
-// enables the data-plane metric offload (capture/offload.h): the front
-// end's per-shard histogram registers absorb the jitter/RTT metric work
-// for covered server media flows, surfaced via --frontend-stats and the
-// epoch records' offload section in daemon mode.
+// Each mode's options are rows of the option table in
+// src/analysis/options.h; a usage error prints their usage text.
 //
-// --daemon runs the continuous-operation service loop
-// (analysis/daemon.h): epoch rotation, atomic snapshot + per-epoch
-// report files, SIGHUP config reload, SIGTERM/SIGINT graceful drain,
-// and a watchdog that reopens a stalled source. With --report-dir the
-// daemon also appends an indexed metric journal
-// (journal-<site>-NNNNNNNNNNNN.zpmj) and maintains a MANIFEST listing
-// every segment's path and epoch time span — the inputs zpm_query
-// answers time-windowed CDF queries from (--no-journal opts out;
-// --site labels the segments for multi-site merges). The overload governor
-// (src/overload, docs/ROBUSTNESS.md §5) defaults on for --live and off
-// for --replay; --overload / --no-overload override, --overload-inject
-// replaces the real pressure signals with a deterministic schedule
-// ("begin-end:pressure,..." over the global packet index; implies
-// --overload), and --overload-high/--overload-low retune the EWMA
-// watermarks. --bounded-push makes the dispatch producer shed instead
-// of blocking on a full shard ring (always on under --live);
-// --slow-shard/--slow-us inject a deterministic slow consumer for
-// stress tests. --replay drives it
-// from a recorded trace through net::ReplayLiveSource (deterministic,
-// no privileges needed — loop with --loops 0 and pace with
-// --pace-pps for soak runs); --live opens a real interface
-// (AF_PACKET TPACKET_V3, CAP_NET_RAW required). --make-trace writes a
-// simulated campus day to a pcap for the replay modes.
+// --pcap replays a capture through analysis::EpochEngine, the engine the
+// daemon rotates, as one window with both epoch limits off. --daemon
+// runs the continuous-operation service loop (analysis/daemon.h): epoch
+// rotation, snapshots, per-epoch reports and a metric journal for
+// zpm_query, SIGHUP config reload, SIGTERM/SIGINT drain and a stalled-
+// source watchdog, over a deterministic trace replay or a live
+// interface (AF_PACKET, CAP_NET_RAW). --make-trace writes a simulated
+// campus day to a pcap for the replay modes.
 //
 // Exit codes: 0 ok, 1 bad input/fatal source error, 2 usage,
 // 4 interrupted (SIGINT drain in the non-daemon modes: the partial
@@ -79,13 +33,13 @@
 
 #include "analysis/daemon.h"
 #include "analysis/epoch.h"
+#include "analysis/options.h"
 #include "analysis/tables.h"
 #include "capture/filter.h"
 #include "core/analyzer.h"
 #include "net/live_source.h"
 #include "net/pcap.h"
 #include "net/trace_source.h"
-#include "overload/governor.h"
 #include "sim/background.h"
 #include "sim/campus.h"
 #include "util/strings.h"
@@ -133,26 +87,29 @@ void print_summary(const core::AnalyzerCounters& c, core::AnalyzerHealth h,
   }
 }
 
-int monitor_pcap(const char* path, bool frontend, bool frontend_stats,
-                 std::size_t sketch_budget, bool sketch_stats,
-                 bool dataplane_offload) {
+int monitor_pcap(int argc, char** argv) {
+  analysis::FileRunSettings opts;
+  const auto table = analysis::file_run_options(opts, analysis::kPcap);
+  const auto args = analysis::parse_args(table, {argv + 3, argv + argc});
+  if (!args.error.empty())
+    return analysis::usage_error(table, args.error,
+                                 "campus_monitor --pcap <capture.pcap[ng]> [options]");
+  const char* path = argv[2];
   net::TraceSource source(path);
   if (!source.ok()) {
     std::fprintf(stderr, "error: cannot open %s (%s)\n", path,
                  source.error().c_str());
     return 1;
   }
-  analysis::EpochEngineConfig cfg;
+  analysis::EpochEngineConfig& cfg = opts.engine;
   cfg.analyzer.keep_frames = false;
-  cfg.frontend = frontend;
-  cfg.flow_memory_budget = sketch_budget;
-  cfg.dataplane_offload = dataplane_offload;
+  if (!opts.sketch) cfg.flow_memory_budget = 0;
   cfg.limits = {0, util::Duration::micros(0)};  // one window: the whole trace
-  analysis::EpochEngine engine(std::move(cfg));
+  analysis::EpochEngine engine(cfg);
 
   std::printf("campus monitor: replaying %s (%s ingest, front end %s)\n", path,
               source.mapped() ? "mapped zero-copy" : "streaming",
-              frontend ? "on" : "off");
+              cfg.frontend ? "on" : "off");
   std::signal(SIGINT, on_interrupt);
   constexpr std::size_t kBatch = 1024;
   const auto lifetime = source.mapped() ? pipeline::BatchLifetime::Pinned
@@ -174,7 +131,7 @@ int monitor_pcap(const char* path, bool frontend, bool frontend_stats,
   print_summary(rep.counters, rep.health, rep.meeting_count, rep.stream_count,
                 source.packets_read());
   const auto* filter = engine.frontend();
-  if (frontend_stats && filter) {
+  if (opts.frontend_stats && filter) {
     std::printf("capture front end (%s probe, %zu flows, %zu candidates):\n",
                 filter->simd_active() ? "SWAR/SSE2" : "scalar",
                 filter->flow_count(), filter->candidate_endpoint_count());
@@ -183,7 +140,7 @@ int monitor_pcap(const char* path, bool frontend, bool frontend_stats,
                   util::with_commas(row.count).c_str(),
                   static_cast<int>(row.description.size()), row.description.data());
   }
-  if (sketch_stats) {
+  if (opts.sketch_stats) {
     if (!filter || !filter->sketch_enabled()) {
       std::printf("sketch flow tier not active (%s)\n",
                   filter ? "--no-sketch" : "--no-frontend");
@@ -192,7 +149,7 @@ int monitor_pcap(const char* path, bool frontend, bool frontend_stats,
       const auto& ts = report.stats;
       std::printf("sketch flow tier (%s budget): %s background packets (%s), "
                   "%llu promotions, %llu evictions\n",
-                  util::human_bytes(sketch_budget).c_str(),
+                  util::human_bytes(cfg.flow_memory_budget).c_str(),
                   util::with_commas(ts.absorbed_packets).c_str(),
                   util::human_bytes(ts.absorbed_bytes).c_str(),
                   static_cast<unsigned long long>(ts.promotions),
@@ -209,49 +166,23 @@ int monitor_pcap(const char* path, bool frontend, bool frontend_stats,
 /// Writes a simulated campus monitor stream to a pcap — the input for
 /// the --daemon --replay modes and the CI soak run.
 int make_trace(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr, "usage: campus_monitor --make-trace <out.pcap> "
-                 "[--minutes <m>] [--meetings <n>] [--background <ratio>] "
-                 "[--seed <n>] [--burst <period-s>] [--burst-flows <n>]\n");
-    return 2;
-  }
+  analysis::TraceSettings opts;
+  const auto table = analysis::trace_options(opts);
+  const char* synopsis = "campus_monitor --make-trace <out.pcap> [options]";
+  if (argc < 3) return analysis::usage_error(table, "", synopsis);
   const char* out_path = argv[2];
-  double minutes = 10.0;
-  double meetings = 6.0;
-  double background = 1.0;
-  std::uint64_t seed = 42;
-  double burst_period_s = 0.0;
-  std::size_t burst_flows = 20'000;
-  for (int i = 3; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--minutes") && i + 1 < argc) {
-      minutes = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--meetings") && i + 1 < argc) {
-      meetings = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--background") && i + 1 < argc) {
-      background = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--burst") && i + 1 < argc) {
-      burst_period_s = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--burst-flows") && i + 1 < argc) {
-      burst_flows = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", argv[i]);
-      return 2;
-    }
-  }
-  if (minutes <= 0) {
-    std::fprintf(stderr, "--minutes wants a positive duration\n");
-    return 2;
-  }
+  const auto args = analysis::parse_args(table, {argv + 3, argv + argc});
+  if (!args.error.empty()) return analysis::usage_error(table, args.error, synopsis);
+  if (opts.minutes <= 0)
+    return analysis::usage_error(table, "--minutes wants a positive duration",
+                                 synopsis);
 
   sim::CampusConfig campus_cfg;
-  campus_cfg.seed = seed;
+  campus_cfg.seed = opts.seed;
   campus_cfg.day_start = util::Timestamp::from_seconds(10 * 3600);
-  campus_cfg.duration = util::Duration::seconds(minutes * 60.0);
-  campus_cfg.meetings_per_peak_hour = meetings;
-  campus_cfg.background_ratio = background;
+  campus_cfg.duration = util::Duration::seconds(opts.minutes * 60.0);
+  campus_cfg.meetings_per_peak_hour = opts.meetings;
+  campus_cfg.background_ratio = opts.background;
   sim::CampusSimulation campus(campus_cfg);
 
   // --burst overlays a square-wave background load (sim::BackgroundTraffic
@@ -259,17 +190,17 @@ int make_trace(int argc, char** argv) {
   // hits a high phase, the daemon's rings actually fill — the overload
   // governor's exercise input.
   std::optional<sim::BackgroundTraffic> burst;
-  if (burst_period_s > 0) {
+  if (opts.burst_s > 0) {
     sim::BackgroundConfig bg;
-    bg.seed = seed + 1;
-    bg.flows = burst_flows > 0 ? burst_flows : 1;
+    bg.seed = opts.seed + 1;
+    bg.flows = opts.burst_flows > 0 ? opts.burst_flows : 1;
     bg.start = campus_cfg.day_start;
-    bg.burst_period = util::Duration::seconds(burst_period_s);
+    bg.burst_period = util::Duration::seconds(opts.burst_s);
     bg.burst_high_pps = 20'000;
     bg.burst_low_pps = 2'000;
     const double avg_pps = bg.burst_duty * bg.burst_high_pps +
                            (1.0 - bg.burst_duty) * bg.burst_low_pps;
-    bg.packets = static_cast<std::size_t>(avg_pps * minutes * 60.0);
+    bg.packets = static_cast<std::size_t>(avg_pps * opts.minutes * 60.0);
     if (bg.packets < bg.flows) bg.packets = bg.flows;
     if (bg.packets > 5'000'000) bg.packets = 5'000'000;  // keep traces sane
     burst.emplace(bg);
@@ -311,7 +242,7 @@ int make_trace(int argc, char** argv) {
   }
   std::printf("wrote %llu packets (%.1f simulated minutes%s) to %s\n",
               static_cast<unsigned long long>(writer.packets_written()),
-              minutes,
+              opts.minutes,
               burst ? ", bursty background overlay" : "", out_path);
   return 0;
 }
@@ -319,178 +250,68 @@ int make_trace(int argc, char** argv) {
 /// The continuous daemon: parses its flag block, builds the source,
 /// and hands the loop to analysis::MonitorDaemon.
 int run_daemon(int argc, char** argv) {
-  std::string replay_path;
-  std::string live_interface;
   analysis::DaemonConfig cfg;
   cfg.engine.analyzer.keep_frames = false;
-  cfg.engine.limits.max_packets = 1'000'000;
-  cfg.engine.limits.max_span = util::Duration::seconds(60.0);
-  net::ReplayLiveSourceConfig replay_cfg;
-  std::optional<bool> overload_flag;  // unset = mode default
-  bool journal_flag_set = false;      // --no-journal given
-
-  for (int i = 2; i < argc; ++i) {
-    const auto want_value = [&](const char* flag) {
-      if (i + 1 < argc) return true;
-      std::fprintf(stderr, "%s wants a value\n", flag);
-      return false;
-    };
-    if (!std::strcmp(argv[i], "--replay")) {
-      if (!want_value("--replay")) return 2;
-      replay_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--live")) {
-      if (!want_value("--live")) return 2;
-      live_interface = argv[++i];
-    } else if (!std::strcmp(argv[i], "--loops")) {
-      if (!want_value("--loops")) return 2;
-      replay_cfg.loops = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--pace-pps")) {
-      if (!want_value("--pace-pps")) return 2;
-      replay_cfg.pace_pps = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--stall-after")) {
-      if (!want_value("--stall-after")) return 2;
-      replay_cfg.stall_after_packets = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--epoch-packets")) {
-      if (!want_value("--epoch-packets")) return 2;
-      cfg.engine.limits.max_packets = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--epoch-seconds")) {
-      if (!want_value("--epoch-seconds")) return 2;
-      cfg.engine.limits.max_span = util::Duration::seconds(std::atof(argv[++i]));
-    } else if (!std::strcmp(argv[i], "--snapshot")) {
-      if (!want_value("--snapshot")) return 2;
-      cfg.snapshot_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--report-dir")) {
-      if (!want_value("--report-dir")) return 2;
-      cfg.report_dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--site")) {
-      if (!want_value("--site")) return 2;
-      cfg.site = argv[++i];
-    } else if (!std::strcmp(argv[i], "--no-journal")) {
-      cfg.engine.collect_journal = false;
-      journal_flag_set = true;
-    } else if (!std::strcmp(argv[i], "--config")) {
-      if (!want_value("--config")) return 2;
-      cfg.config_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--watchdog-seconds")) {
-      if (!want_value("--watchdog-seconds")) return 2;
-      cfg.watchdog = util::Duration::seconds(std::atof(argv[++i]));
-    } else if (!std::strcmp(argv[i], "--threads")) {
-      if (!want_value("--threads")) return 2;
-      cfg.engine.shards = static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (cfg.engine.shards == 0) cfg.engine.shards = 1;
-    } else if (!std::strcmp(argv[i], "--halt-after-epochs")) {
-      if (!want_value("--halt-after-epochs")) return 2;
-      cfg.halt_after_epochs = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--no-frontend")) {
-      cfg.engine.frontend = false;
-    } else if (!std::strcmp(argv[i], "--flow-memory-budget")) {
-      if (!want_value("--flow-memory-budget")) return 2;
-      cfg.engine.flow_memory_budget = util::parse_byte_size(argv[++i]);
-      if (cfg.engine.flow_memory_budget == 0) {
-        std::fprintf(stderr, "--flow-memory-budget wants a byte count like "
-                     "4M or 262144\n");
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--quiet")) {
-      cfg.verbose = false;
-    } else if (!std::strcmp(argv[i], "--overload")) {
-      overload_flag = true;
-    } else if (!std::strcmp(argv[i], "--no-overload")) {
-      overload_flag = false;
-    } else if (!std::strcmp(argv[i], "--overload-window")) {
-      if (!want_value("--overload-window")) return 2;
-      cfg.engine.overload.window_packets = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--overload-inject")) {
-      if (!want_value("--overload-inject")) return 2;
-      cfg.engine.overload.inject = argv[++i];
-      overload_flag = true;  // an injection schedule implies the governor
-    } else if (!std::strcmp(argv[i], "--overload-high")) {
-      if (!want_value("--overload-high")) return 2;
-      cfg.engine.overload.governor.high_watermark = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--overload-low")) {
-      if (!want_value("--overload-low")) return 2;
-      cfg.engine.overload.governor.low_watermark = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--bounded-push")) {
-      cfg.engine.bounded_dispatch = true;
-    } else if (!std::strcmp(argv[i], "--slow-shard")) {
-      if (!want_value("--slow-shard")) return 2;
-      cfg.engine.fault_slow_shard =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--slow-us")) {
-      if (!want_value("--slow-us")) return 2;
-      cfg.engine.fault_slow_us =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--dataplane-offload")) {
-      cfg.engine.dataplane_offload = true;
-    } else {
-      std::fprintf(stderr, "unknown daemon option %s\n", argv[i]);
-      return 2;
-    }
-  }
-  if (replay_path.empty() == live_interface.empty()) {
-    std::fprintf(stderr,
-                 "--daemon wants exactly one of --replay <trace> or "
-                 "--live <iface>\n");
-    return 2;
-  }
-  if (!cfg.engine.limits.any_enabled()) {
-    std::fprintf(stderr, "daemon needs at least one epoch limit "
-                 "(--epoch-packets or --epoch-seconds)\n");
-    return 2;
-  }
-  if (!cfg.engine.overload.inject.empty()) {
-    overload::PressureSchedule probe;
-    if (!probe.parse(cfg.engine.overload.inject)) {
-      std::fprintf(stderr, "--overload-inject wants "
-                   "\"begin-end:pressure[,...]\" over packet indices\n");
-      return 2;
-    }
-  }
+  analysis::DaemonSource src;
+  const auto table = analysis::daemon_options(cfg, &src);
+  const char* synopsis =
+      "campus_monitor --daemon (--replay <trace> | --live <iface>) [options]";
+  const auto args = analysis::parse_args(table, {argv + 2, argv + argc});
+  if (!args.error.empty()) return analysis::usage_error(table, args.error, synopsis);
+  const bool live = !src.live.interface.empty();
+  if (src.replay.path.empty() != live)
+    return analysis::usage_error(
+        table, "--daemon wants exactly one of --replay <trace> or --live <iface>",
+        synopsis);
+  if (!cfg.engine.limits.any_enabled())
+    return analysis::usage_error(table, "daemon needs at least one epoch limit "
+                                 "(--epoch-packets or --epoch-seconds)", synopsis);
   // Overload default: on for live capture (the mode that can actually
   // fall behind the kernel), off for lossless replay. Live mode also
   // switches the dispatch producer from blocking push to bounded
   // try_push with shed-on-timeout — a stalled shard must never wedge
   // the poll loop that keeps the kernel ring drained.
-  cfg.engine.overload.enabled = overload_flag.value_or(!live_interface.empty());
-  if (!live_interface.empty()) cfg.engine.bounded_dispatch = true;
+  const auto& given = args.given;
+  if (!given.contains("--overload") && !given.contains("--no-overload") &&
+      !given.contains("--overload-inject"))
+    cfg.engine.overload.enabled = live;
+  if (live) cfg.engine.bounded_dispatch = true;
   // Journal default: on whenever a report directory exists — the
   // directory then carries epoch files, journal segments and a MANIFEST
   // for zpm_query. --no-journal opts out.
-  if (!journal_flag_set) cfg.engine.collect_journal = !cfg.report_dir.empty();
+  if (!given.contains("--no-journal"))
+    cfg.engine.collect_journal = !cfg.report_dir.empty();
   if (cfg.engine.fault_slow_shard != SIZE_MAX && cfg.engine.fault_slow_us == 0)
     cfg.engine.fault_slow_us = 100;
 
   analysis::MonitorDaemon daemon(cfg);
   analysis::MonitorDaemon::install_signal_handlers(&daemon);
   int rc;
-  if (!replay_path.empty()) {
-    replay_cfg.path = replay_path;
-    net::ReplayLiveSource source(replay_cfg);
+  if (!live) {
+    net::ReplayLiveSource source(src.replay);
     if (!source.ok()) {
       std::fprintf(stderr, "error: cannot load %s (%s)\n",
-                   replay_path.c_str(), source.error().c_str());
+                   src.replay.path.c_str(), source.error().c_str());
       analysis::MonitorDaemon::install_signal_handlers(nullptr);
       return 1;
     }
     std::fprintf(stderr, "zpm-daemon: replaying %s (%llu packets/loop, "
                  "loops %llu, %.0f pps)\n",
-                 replay_path.c_str(),
+                 src.replay.path.c_str(),
                  static_cast<unsigned long long>(source.trace_packets()),
-                 static_cast<unsigned long long>(replay_cfg.loops),
-                 replay_cfg.pace_pps);
+                 static_cast<unsigned long long>(src.replay.loops),
+                 src.replay.pace_pps);
     rc = daemon.run(source);
   } else {
-    net::LiveSourceConfig live_cfg;
-    live_cfg.interface = live_interface;
-    net::LiveSource source(live_cfg);
+    net::LiveSource source(src.live);
     if (!source.ok()) {
       std::fprintf(stderr, "error: cannot open %s (%s)\n",
-                   live_interface.c_str(), source.error().c_str());
+                   src.live.interface.c_str(), source.error().c_str());
       analysis::MonitorDaemon::install_signal_handlers(nullptr);
       return 1;
     }
     std::fprintf(stderr, "zpm-daemon: capturing on %s (%.*s backend)\n",
-                 live_interface.c_str(),
+                 src.live.interface.c_str(),
                  static_cast<int>(source.backend().size()),
                  source.backend().data());
     rc = daemon.run(source);
@@ -513,40 +334,7 @@ int main(int argc, char** argv) {
   if (argc > 1 && !std::strcmp(argv[1], "--daemon"))
     return run_daemon(argc, argv);
 
-  if (argc > 2 && !std::strcmp(argv[1], "--pcap")) {
-    bool frontend = true;
-    bool frontend_stats = false;
-    std::size_t sketch_budget = std::size_t{1} << 20;
-    bool sketch = true;
-    bool sketch_stats = false;
-    bool dataplane_offload = false;
-    for (int i = 3; i < argc; ++i) {
-      if (!std::strcmp(argv[i], "--no-frontend")) {
-        frontend = false;
-      } else if (!std::strcmp(argv[i], "--frontend-stats")) {
-        frontend_stats = true;
-      } else if (!std::strcmp(argv[i], "--flow-memory-budget") && i + 1 < argc) {
-        sketch_budget = util::parse_byte_size(argv[++i]);
-        if (sketch_budget == 0) {
-          std::fprintf(stderr, "--flow-memory-budget wants a byte count like "
-                       "4M or 262144 (use --no-sketch to disable)\n");
-          return 2;
-        }
-      } else if (!std::strcmp(argv[i], "--no-sketch")) {
-        sketch = false;
-      } else if (!std::strcmp(argv[i], "--sketch-stats")) {
-        sketch_stats = true;
-      } else if (!std::strcmp(argv[i], "--dataplane-offload")) {
-        dataplane_offload = true;
-      } else {
-        std::fprintf(stderr, "unknown option %s\n", argv[i]);
-        return 2;
-      }
-    }
-    return monitor_pcap(argv[2], frontend, frontend_stats,
-                        sketch ? sketch_budget : 0, sketch_stats,
-                        dataplane_offload);
-  }
+  if (argc > 2 && !std::strcmp(argv[1], "--pcap")) return monitor_pcap(argc, argv);
 
   double hours = argc > 1 ? std::atof(argv[1]) : 1.0;
   double meetings = argc > 2 ? std::atof(argv[2]) : 6.0;

@@ -6,69 +6,8 @@
 //   zpm_analyze <capture.pcap[ng]> [options]
 //   zpm_analyze --demo [options]
 //
-// Options:
-//   --threads <n>     shard the analyzer across n worker threads
-//                     (default 1 = serial; results are identical)
-//   --csv <prefix>    write <prefix>_streams.csv / _seconds.csv / _meetings.csv
-//   --p2p-timeout <s> STUN candidate lifetime (default 60)
-//   --anon-key <hex>  the capture was anonymized with this key
-//                     (zpm_pcap_filter default 5eedcafef00dd00d); the
-//                     server subnets are mapped through the same
-//                     prefix-preserving function so detection still works
-//   --strict          record the first malformed record and exit 3 once
-//                     analysis completes (the record still shows up in
-//                     the health section)
-//   --corrupt <seed>  run the input through the hostile fault-injection
-//                     mix (sim/corruptor.h) before analysis — robustness
-//                     demos and health-accounting checks
-//   --no-frontend     disable the capture front end (capture/batch_filter):
-//                     every packet takes the full decode path. Results are
-//                     bit-identical either way; this exists for A/B and
-//                     debugging. Every input (file, --demo, --corrupt)
-//                     runs through it.
-//   --frontend-stats  print the front end's admit/reject/full-parse
-//                     selectivity counters (the software analogue of the
-//                     paper's Table 5 filter report)
-//   --flow-memory-budget <bytes>
-//                     byte budget for the front end's sketch tier, which
-//                     summarizes rejected background flows (count-min +
-//                     heavy-hitter table) at O(1) memory instead of
-//                     per-flow state. Accepts K/M/G suffixes (KiB etc.);
-//                     default 1M. The standard report is bit-identical
-//                     with the tier on or off.
-//   --no-sketch       disable the sketch tier (budget 0)
-//   --sketch-stats    print the sketch tier's report: absorbed
-//                     background volume, promotions / demotions /
-//                     evictions, and the top background heavy hitters
-//   --overload        run the analysis under the overload governor
-//                     (src/overload). A file replay has no live pressure
-//                     signal: with no injection the governor observes
-//                     zero pressure, stays at L0, and the report is
-//                     byte-identical to an ungoverned run (the
-//                     enabled-under-zero-pressure identity check)
-//   --overload-inject <spec>
-//                     deterministic pressure schedule
-//                     "begin-end:pressure[,...]" over global packet
-//                     indices; replaces the real signals so identical
-//                     replays shed identically (implies --overload);
-//                     the shed counts equal the daemon's for the same
-//                     schedule and window, mapped or streamed
-//   --overload-window <pkts>
-//                     governor observation window (default 2048)
-//   --dataplane-offload
-//                     enable the data-plane metric offload
-//                     (capture/offload.h): the front end keeps bucketed
-//                     RTT/jitter histogram registers plus a spin-bit
-//                     style RTT probe for the server media flows it can
-//                     classify at fixed offsets, and the host skips its
-//                     per-packet jitter/latency estimator work for those
-//                     covered packets. Requires the front end. Reports
-//                     are byte-identical with the
-//                     offload off for uncovered flows; covered streams'
-//                     jitter/latency columns vacate into the offload
-//                     histograms (--offload-stats)
-//   --offload-stats   print the offload's merged histogram registers and
-//                     coverage/collision accounting
+// The options are the kAnalyze rows of the option table in
+// src/analysis/options.h; a usage error prints their usage text.
 //
 // Every input runs through analysis::EpochEngine — the daemon's ingest
 // driver — as one window with both epoch limits off: the engine builds
@@ -82,14 +21,13 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/epoch.h"
+#include "analysis/options.h"
 #include "analysis/tables.h"
 #include "capture/anonymizer.h"
 #include "net/trace_source.h"
@@ -337,119 +275,31 @@ void print_offload_histograms(const capture::OffloadReport& rep) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <capture.pcap[ng]>|--demo [--threads <n>]\n"
-                 "          [--csv <prefix>] [--p2p-timeout <s>] [--anon-key <hex>]\n"
-                 "          [--strict] [--corrupt <seed>] [--no-frontend]\n"
-                 "          [--frontend-stats] [--flow-memory-budget <bytes>]\n"
-                 "          [--no-sketch] [--sketch-stats] [--overload]\n"
-                 "          [--overload-inject <spec>] [--overload-window <n>]\n"
-                 "          [--dataplane-offload] [--offload-stats]\n",
-                 argv[0]);
-    return 2;
-  }
-  std::string input = argv[1];
-  std::string csv_prefix;
-  double p2p_timeout_s = 60.0;
-  std::size_t threads = 1;
-  std::optional<std::uint64_t> anon_key;
-  bool strict = false;
-  std::optional<std::uint64_t> corrupt_seed;
-  bool frontend = true;
-  bool frontend_stats = false;
-  std::size_t flow_memory_budget = std::size_t{1} << 20;
-  bool sketch = true;
-  bool sketch_stats = false;
-  bool overload_enabled = false;
-  std::string overload_inject;
-  std::uint64_t overload_window = 2048;
-  bool dataplane_offload = false;
-  bool offload_stats = false;
-  for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (threads == 0) {
-        std::fprintf(stderr, "--threads wants a positive count\n");
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) {
-      csv_prefix = argv[++i];
-    } else if (!std::strcmp(argv[i], "--p2p-timeout") && i + 1 < argc) {
-      p2p_timeout_s = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--anon-key") && i + 1 < argc) {
-      anon_key = std::strtoull(argv[++i], nullptr, 16);
-    } else if (!std::strcmp(argv[i], "--strict")) {
-      strict = true;
-    } else if (!std::strcmp(argv[i], "--corrupt") && i + 1 < argc) {
-      corrupt_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--no-frontend")) {
-      frontend = false;
-    } else if (!std::strcmp(argv[i], "--frontend-stats")) {
-      frontend_stats = true;
-    } else if (!std::strcmp(argv[i], "--flow-memory-budget") && i + 1 < argc) {
-      flow_memory_budget = util::parse_byte_size(argv[++i]);
-      if (flow_memory_budget == 0) {
-        std::fprintf(stderr,
-                     "--flow-memory-budget wants a byte count like 4M or "
-                     "262144 (use --no-sketch to disable the tier)\n");
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--no-sketch")) {
-      sketch = false;
-    } else if (!std::strcmp(argv[i], "--sketch-stats")) {
-      sketch_stats = true;
-    } else if (!std::strcmp(argv[i], "--overload")) {
-      overload_enabled = true;
-    } else if (!std::strcmp(argv[i], "--overload-inject") && i + 1 < argc) {
-      overload_inject = argv[++i];
-      overload_enabled = true;  // a schedule implies the governor
-    } else if (!std::strcmp(argv[i], "--overload-window") && i + 1 < argc) {
-      overload_window = std::strtoull(argv[++i], nullptr, 10);
-      if (overload_window == 0) overload_window = 2048;
-    } else if (!std::strcmp(argv[i], "--dataplane-offload")) {
-      dataplane_offload = true;
-    } else if (!std::strcmp(argv[i], "--offload-stats")) {
-      offload_stats = true;
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", argv[i]);
-      return 2;
-    }
-  }
-  if (!overload_inject.empty() && !overload::PressureSchedule().parse(overload_inject)) {
-    std::fprintf(stderr, "--overload-inject wants "
-                 "\"begin-end:pressure[,...]\" over packet indices\n");
-    return 2;
-  }
+  analysis::FileRunSettings opts;
+  const auto table = analysis::file_run_options(opts, analysis::kAnalyze);
+  const char* synopsis = "zpm_analyze <capture.pcap[ng]>|--demo [options]";
+  if (argc < 2) return analysis::usage_error(table, "", synopsis);
+  const auto args = analysis::parse_args(table, {argv + 2, argv + argc});
+  if (!args.error.empty()) return analysis::usage_error(table, args.error, synopsis);
+  const std::string input = argv[1];
+  const bool corrupt = args.given.contains("--corrupt");
 
-  core::AnalyzerConfig cfg;
-  cfg.p2p_timeout = util::Duration::seconds(p2p_timeout_s);
-  cfg.strict = strict;
-  if (anon_key) {
+  analysis::EpochEngineConfig& engine_cfg = opts.engine;
+  if (args.given.contains("--anon-key")) {
     // The capture's addresses were rewritten prefix-preservingly; map
     // our subnet knowledge through the same function.
-    capture::PrefixPreservingAnonymizer anon(*anon_key);
+    capture::PrefixPreservingAnonymizer anon(opts.anon_key);
     std::vector<net::Ipv4Subnet> mapped;
-    for (const auto& subnet : cfg.server_db.subnets())
+    for (const auto& subnet : engine_cfg.analyzer.server_db.subnets())
       mapped.emplace_back(anon.anonymize(subnet.base()), subnet.prefix_len());
-    cfg.server_db = zoom::ServerDb(mapped);
+    engine_cfg.analyzer.server_db = zoom::ServerDb(mapped);
   }
-
-  // One window over the whole input: both epoch limits off.
-  analysis::EpochEngineConfig engine_cfg;
-  engine_cfg.analyzer = cfg;
-  engine_cfg.shards = threads;
-  engine_cfg.frontend = frontend;
-  engine_cfg.flow_memory_budget = sketch ? flow_memory_budget : 0;
-  engine_cfg.dataplane_offload = dataplane_offload;
-  engine_cfg.limits = {0, util::Duration::micros(0)};
-  if (overload_enabled) {
-    engine_cfg.overload.enabled = true;
-    engine_cfg.overload.window_packets = overload_window;
-    // A file replay has no live pressure signal: without a schedule the
-    // governor observes zero pressure (governed-but-calm, L0 forever).
-    engine_cfg.overload.inject = overload_inject.empty() ? "0-1:0" : overload_inject;
-  }
+  engine_cfg.limits = {0, util::Duration::micros(0)};  // one window: the whole input
+  if (!opts.sketch) engine_cfg.flow_memory_budget = 0;
+  // A file replay has no live pressure signal: without a schedule the
+  // governor observes zero pressure (governed-but-calm, L0 forever).
+  if (engine_cfg.overload.enabled && engine_cfg.overload.inject.empty())
+    engine_cfg.overload.inject = "0-1:0";
 
   // Copied by value: the simulator / corruption queue producing the
   // tallies dies with its branch scope, but the report prints later.
@@ -457,7 +307,7 @@ int main(int argc, char** argv) {
   // Declared before the engine: Pinned batches alias the mapped file,
   // so the mapping must outlive it.
   std::unique_ptr<net::TraceSource> source;
-  analysis::EpochEngine engine(std::move(engine_cfg));
+  analysis::EpochEngine engine(engine_cfg);
   std::signal(SIGINT, on_interrupt);
   if (input == "--demo") {
     sim::MeetingConfig mc;
@@ -471,7 +321,7 @@ int main(int argc, char** argv) {
     c.on_campus = false;
     b.send_screen_share = true;
     mc.participants = {a, b, c};
-    if (corrupt_seed) mc.corruption = sim::CorruptorConfig::hostile(*corrupt_seed);
+    if (corrupt) mc.corruption = sim::CorruptorConfig::hostile(opts.corrupt_seed);
     sim::MeetingSim sim(mc);
     offer_owned(engine, [&] { return sim.next_packet(); });
     if (const auto* cs = sim.corruption_stats()) corruption = *cs;
@@ -482,11 +332,11 @@ int main(int argc, char** argv) {
                    "pcap/pcapng)\n", input.c_str());
       return 1;
     }
-    if (corrupt_seed) {
+    if (corrupt) {
       // Capture cuts need a trace extent the file does not announce;
       // the other hostile impairments all apply record-by-record, so
       // the corruption queue keeps the owned per-packet pull.
-      sim::CorruptionQueue corruptor(sim::CorruptorConfig::hostile(*corrupt_seed));
+      sim::CorruptionQueue corruptor(sim::CorruptorConfig::hostile(opts.corrupt_seed));
       auto pull = [&]() -> std::optional<net::RawPacket> {
         auto view = source->next();
         if (!view) return std::nullopt;
@@ -553,7 +403,7 @@ int main(int argc, char** argv) {
   if (corruption) {
     const auto& cs = *corruption;
     std::printf("== fault injection (seed %llu) =================================\n",
-                static_cast<unsigned long long>(*corrupt_seed));
+                static_cast<unsigned long long>(opts.corrupt_seed));
     std::printf("offered %llu -> emitted %llu | truncated %llu | header flips %llu\n"
                 "payload flips %llu | dropped %llu | cut %llu | duplicated %llu\n"
                 "ts regressions %llu | look-alikes %llu\n\n",
@@ -573,7 +423,7 @@ int main(int argc, char** argv) {
   print_report(rep, streams, engine.meetings());
 
   const auto* filter = engine.frontend();
-  if (frontend_stats) {
+  if (opts.frontend_stats) {
     std::printf("\n== capture front end ===========================================\n");
     if (!filter) {
       std::printf("front end not active on this path (--no-frontend)\n");
@@ -591,16 +441,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (sketch_stats) {
+  if (opts.sketch_stats) {
     std::printf("\n== sketch flow tier ============================================\n");
     if (!filter || !filter->sketch_enabled()) {
       std::printf("sketch tier not active (%s)\n",
-                  !sketch ? "--no-sketch" : "front end not on this path");
+                  !opts.sketch ? "--no-sketch" : "front end not on this path");
     } else {
       const auto report = filter->sketch_report(10);
       const auto& ts = report.stats;
       std::printf("budget %s | absorbed %s background packets (%s)\n",
-                  util::human_bytes(flow_memory_budget).c_str(),
+                  util::human_bytes(engine_cfg.flow_memory_budget).c_str(),
                   util::with_commas(ts.absorbed_packets).c_str(),
                   util::human_bytes(ts.absorbed_bytes).c_str());
       std::printf("promotions %s | demotions %s | evictions %s\n",
@@ -624,7 +474,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (offload_stats) {
+  if (opts.offload_stats) {
     std::printf("\n== data-plane metric offload ===================================\n");
     if (!filter || !filter->offload_enabled()) {
       std::printf("offload not active (%s)\n",
@@ -645,6 +495,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!csv_prefix.empty()) export_csvs(streams, engine.meetings(), csv_prefix);
+  if (!opts.csv_prefix.empty())
+    export_csvs(streams, engine.meetings(), opts.csv_prefix);
   return g_interrupted ? 4 : 0;
 }

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <thread>
 #include <vector>
@@ -16,16 +15,6 @@ std::int64_t steady_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Trims ASCII whitespace from both ends.
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t' || s[b] == '\r')) ++b;
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t' || s[e - 1] == '\r'))
-    --e;
-  return s.substr(b, e - b);
 }
 
 MonitorDaemon* g_signal_daemon = nullptr;
@@ -53,6 +42,43 @@ void MonitorDaemon::install_signal_handlers(MonitorDaemon* daemon) {
 #if defined(SIGHUP)
   std::signal(SIGHUP, handler);
 #endif
+}
+
+OptionTable daemon_options(DaemonConfig& c, DaemonSource* source) {
+  using K = OptionKind;
+  OptionTable rows = engine_options(c.engine);
+  rows.insert(rows.end(), {
+      {"--snapshot", nullptr, K::String, &c.snapshot_path, kDaemon,
+       "<file> state saved each rotation, restored at start"},
+      {"--report-dir", nullptr, K::String, &c.report_dir, kDaemon,
+       "<dir> epoch reports, metric journal, MANIFEST"},
+      {"--site", nullptr, K::String, &c.site, kDaemon,
+       "<name> journal site label (default campus)"},
+      {"--config", nullptr, K::String, &c.config_path, kDaemon,
+       "<file> key=value settings re-read on SIGHUP"},
+      {"--watchdog-seconds", "watchdog_seconds", K::Seconds, &c.watchdog, kDaemon,
+       "<s> reopen a source quiet this long (0 = off)"},
+      {"--halt-after-epochs", nullptr, K::Unsigned, &c.halt_after_epochs, kDaemon,
+       "<n> crash test: stop undrained after n epochs"},
+      {"--quiet", nullptr, K::Flag, &c.verbose, kDaemon,
+       "no status lines on stderr", false},
+  });
+  if (source != nullptr) {
+    rows.insert(rows.end(), {
+        {"--replay", nullptr, K::String, &source->replay.path, kDaemon,
+         "<trace> replay a capture file as a live source"},
+        {"--live", nullptr, K::String, &source->live.interface, kDaemon,
+         "<iface> capture from an interface (CAP_NET_RAW)"},
+        {"--loops", nullptr, K::Unsigned, &source->replay.loops, kDaemon,
+         "<n> replay loops (0 = endless; default 1)"},
+        {"--pace-pps", nullptr, K::Double, &source->replay.pace_pps, kDaemon,
+         "<pps> replay pacing (0 = unpaced)"},
+        {"--stall-after", nullptr, K::Unsigned,
+         &source->replay.stall_after_packets, kDaemon,
+         "<pkts> fault: the replay stalls once here"},
+    });
+  }
+  return for_surface(std::move(rows), kDaemon);
 }
 
 MonitorDaemon::MonitorDaemon(DaemonConfig config)
@@ -260,65 +286,24 @@ void MonitorDaemon::reload_config_file() {
                  config_.config_path.c_str());
     return;
   }
-  EpochLimits limits = engine_->config().limits;
-  core::AnalyzerConfig analyzer = engine_->config().analyzer;
-  bool frontend = engine_->config().frontend;
-  std::size_t budget = engine_->config().flow_memory_budget;
-  overload::GovernorConfig governor = engine_->config().overload.governor;
-  bool staged_change = false;
-  bool governor_change = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string stripped = trim(line);
-    if (stripped.empty() || stripped[0] == '#') continue;
-    const std::size_t eq = stripped.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = trim(stripped.substr(0, eq));
-    const std::string value = trim(stripped.substr(eq + 1));
-    if (key == "epoch_packets") {
-      limits.max_packets = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "epoch_seconds") {
-      limits.max_span = util::Duration::seconds(std::atof(value.c_str()));
-    } else if (key == "watchdog_seconds") {
-      config_.watchdog = util::Duration::seconds(std::atof(value.c_str()));
-    } else if (key == "p2p_timeout_seconds") {
-      analyzer.p2p_timeout = util::Duration::seconds(std::atof(value.c_str()));
-      staged_change = true;
-    } else if (key == "frontend") {
-      frontend = value != "0";
-      staged_change = true;
-    } else if (key == "flow_memory_budget") {
-      budget = static_cast<std::size_t>(std::strtoull(value.c_str(), nullptr, 10));
-      staged_change = true;
-    } else if (key == "overload_high_watermark") {
-      governor.high_watermark = std::atof(value.c_str());
-      governor_change = true;
-    } else if (key == "overload_low_watermark") {
-      governor.low_watermark = std::atof(value.c_str());
-      governor_change = true;
-    } else if (key == "overload_alpha") {
-      governor.alpha = std::atof(value.c_str());
-      governor_change = true;
-    } else if (key == "overload_escalate_after") {
-      governor.escalate_after =
-          static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-      governor_change = true;
-    } else if (key == "overload_recover_after") {
-      governor.recover_after =
-          static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-      governor_change = true;
-    } else if (config_.verbose) {
-      std::fprintf(stderr, "zpm-daemon: config: unknown key '%s' ignored\n",
-                   key.c_str());
-    }
-  }
-  // Epoch limits act on the in-progress window immediately; engine
-  // changes are staged to the next rotation so live flow state is
-  // never dropped mid-window. Governor thresholds retune live too —
-  // overload response must not wait for a rotation.
-  engine_->set_limits(limits);
-  if (governor_change) engine_->set_overload_thresholds(governor);
-  if (staged_change) engine_->stage_config(analyzer, frontend, budget);
+  // Parse into a copy of the running configuration, then apply it:
+  // limits, watchdog and governor thresholds at once (unchanged values
+  // are no-ops), the rest staged to the next rotation (unconditionally:
+  // that also replaces an earlier reload's pending stage).
+  DaemonConfig next = config_;
+  next.engine = engine_->config();
+  for (const auto& error : parse_config(daemon_options(next), in))
+    if (config_.verbose)
+      std::fprintf(stderr, "zpm-daemon: config: %s\n", error.c_str());
+  const EpochEngineConfig& now = engine_->config();
+  const bool staged_change =
+      next.engine.analyzer.p2p_timeout != now.analyzer.p2p_timeout ||
+      next.engine.frontend != now.frontend ||
+      next.engine.flow_memory_budget != now.flow_memory_budget;
+  config_.watchdog = next.watchdog;
+  engine_->set_limits(next.engine.limits);
+  engine_->set_overload_thresholds(next.engine.overload.governor);
+  engine_->stage_config(next.engine);
   if (config_.verbose)
     std::fprintf(stderr,
                  "zpm-daemon: config reloaded from %s (%s)\n",

@@ -16,9 +16,10 @@
 //               cannot be reopened is fatal (exit 1).
 //
 // Signals: SIGTERM/SIGINT request a graceful drain (same path as
-// EndOfStream); SIGHUP reloads the config file — epoch limits apply
-// immediately, analyzer/front-end changes are staged to the next
-// rotation so no flow state is dropped mid-window. Handlers only set
+// EndOfStream); SIGHUP reloads the config file (daemon_options' keys):
+// epoch limits, watchdog and governor thresholds apply immediately,
+// the rest is staged to the next rotation so no flow state is dropped
+// mid-window. Handlers only set
 // flags; all real work happens on the run() thread. Tests drive the
 // same flags directly via request_shutdown()/request_reload().
 //
@@ -37,8 +38,10 @@
 #include <string>
 
 #include "analysis/epoch.h"
+#include "analysis/options.h"
 #include "analysis/snapshot.h"
 #include "net/batch_source.h"
+#include "net/live_source.h"
 #include "sketch/sketch.h"
 #include "util/time.h"
 
@@ -82,6 +85,16 @@ struct DaemonConfig {
   /// Status lines on stderr.
   bool verbose = true;
 };
+
+/// campus_monitor --daemon's source: a trace replay or a live interface.
+struct DaemonSource {
+  net::ReplayLiveSourceConfig replay;
+  net::LiveSourceConfig live;
+};
+
+/// The daemon's rows: engine, DaemonConfig and (when set) source rows.
+/// The keyed ones are the SIGHUP config file.
+OptionTable daemon_options(DaemonConfig& config, DaemonSource* source = nullptr);
 
 /// Operational counters for one run() (not persisted).
 struct DaemonStats {

@@ -243,7 +243,6 @@ void EpochEngine::open_epoch() {
     // Limits changes were applied live (set_limits); carry the current
     // values over the staged engine swap.
     staged_->limits = config_.limits;
-    staged_->heavy_hitter_limit = config_.heavy_hitter_limit;
     config_ = std::move(*staged_);
     staged_.reset();
   }
@@ -524,16 +523,6 @@ const core::MeetingGrouper& EpochEngine::meetings() const {
 
 std::optional<core::StrictViolation> EpochEngine::strict_violation() const {
   return parallel_ ? parallel_->strict_violation() : serial_->strict_violation();
-}
-
-void EpochEngine::stage_config(const core::AnalyzerConfig& analyzer,
-                               bool frontend,
-                               std::size_t flow_memory_budget) {
-  EpochEngineConfig next = config_;
-  next.analyzer = analyzer;
-  next.frontend = frontend;
-  next.flow_memory_budget = flow_memory_budget;
-  staged_ = std::move(next);
 }
 
 void EpochEngine::set_next_seq(std::uint64_t seq) { next_seq_ = seq; }

@@ -189,11 +189,10 @@ class EpochEngine {
   /// Immediate limit change (SIGHUP): applies to the current epoch too,
   /// so a shortened span can close it on the very next packet.
   void set_limits(const EpochLimits& limits) { config_.limits = limits; }
-  /// Staged engine change (SIGHUP): the new analyzer/front-end
-  /// configuration takes effect at the next rotation, so the current
-  /// epoch's flow state is never dropped mid-window.
-  void stage_config(const core::AnalyzerConfig& analyzer, bool frontend,
-                    std::size_t flow_memory_budget);
+  /// Staged engine change (SIGHUP): `next` replaces the configuration
+  /// at the next rotation (limits excepted: set_limits applies them
+  /// live), so the current epoch's flow state is never dropped mid-window.
+  void stage_config(EpochEngineConfig next) { staged_ = std::move(next); }
 
   /// Sequence number the next completed epoch will carry.
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }

@@ -1,8 +1,8 @@
 #include "util/strings.h"
 
 #include <array>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 namespace zpm::util {
@@ -80,19 +80,21 @@ std::vector<std::string> split(const std::string& s, char delim) {
   return out;
 }
 
-std::size_t parse_byte_size(const char* spec) {
-  char* end = nullptr;
-  const auto value = std::strtoull(spec, &end, 10);
-  if (end == spec) return 0;
+std::size_t parse_byte_size(std::string_view spec) {
+  std::uint64_t value = 0;
+  const char* const last = spec.data() + spec.size();
+  const auto [end, ec] = std::from_chars(spec.data(), last, value);
+  if (ec != std::errc{} || last - end > 1) return 0;
   std::size_t scale = 1;
-  switch (*end) {
-    case '\0': break;
-    case 'k': case 'K': scale = std::size_t{1} << 10; ++end; break;
-    case 'm': case 'M': scale = std::size_t{1} << 20; ++end; break;
-    case 'g': case 'G': scale = std::size_t{1} << 30; ++end; break;
-    default: return 0;
+  if (end != last) {
+    switch (*end) {
+      case 'k': case 'K': scale = std::size_t{1} << 10; break;
+      case 'm': case 'M': scale = std::size_t{1} << 20; break;
+      case 'g': case 'G': scale = std::size_t{1} << 30; break;
+      default: return 0;
+    }
   }
-  if (*end != '\0' || value > (std::size_t{1} << 40) / scale) return 0;
+  if (value > (std::size_t{1} << 40) / scale) return 0;
   return static_cast<std::size_t>(value) * scale;
 }
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace zpm::util {
@@ -30,8 +31,9 @@ std::string clock_label(std::int64_t seconds_since_midnight);
 std::vector<std::string> split(const std::string& s, char delim);
 
 /// "4M", "256K", "1048576" → bytes (binary K/M/G suffixes, capped at
-/// 1 TiB). Returns 0 on a malformed or oversized spec; CLIs treat that
-/// as a usage error.
-std::size_t parse_byte_size(const char* spec);
+/// 1 TiB). The whole spec must parse: digits, then at most one suffix.
+/// Returns 0 on a malformed or oversized spec; CLIs treat that as a
+/// usage error.
+std::size_t parse_byte_size(std::string_view spec);
 
 }  // namespace zpm::util

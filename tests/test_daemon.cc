@@ -288,6 +288,25 @@ TEST(MonitorDaemon, ReloadAppliesLimitsImmediately) {
   EXPECT_EQ(first.packets, 800u);
 }
 
+// A malformed value is ignored like an unknown key: "8e2" must not be
+// read as an 8-packet epoch limit.
+TEST(MonitorDaemon, ReloadIgnoresMalformedValues) {
+  const auto dir = state_dir("daemon_reload_malformed");
+  auto config = base_config(dir, 100'000'000);  // would never rotate
+  config.config_path = (dir / "daemon.conf").string();
+  {
+    std::ofstream out(config.config_path);
+    out << "epoch_packets = 8e2\n";
+    out << "frontend = false\n";
+  }
+  MonitorDaemon daemon(std::move(config));
+  daemon.request_reload();
+  auto source = make_replay();
+  ASSERT_EQ(daemon.run(source), 0);
+  EXPECT_EQ(daemon.stats().config_reloads, 1u);
+  EXPECT_EQ(daemon.stats().epochs_rotated, 1u);  // the final drain only
+}
+
 TEST(MonitorDaemon, FatalSourceErrorExitsNonzero) {
   const auto dir = state_dir("daemon_fatal");
   auto config = base_config(dir, 900);

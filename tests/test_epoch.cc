@@ -198,8 +198,10 @@ TEST(EpochEngine, LimitChangeIsImmediateStagedConfigWaits) {
   EpochLimits limits = config.limits;
   limits.max_packets = 50;
   engine.set_limits(limits);
-  auto staged = engine.config().analyzer;
-  engine.stage_config(staged, /*frontend=*/false, /*flow_memory_budget=*/0);
+  auto staged = engine.config();
+  staged.frontend = false;
+  staged.flow_memory_budget = 0;
+  engine.stage_config(staged);
   EXPECT_TRUE(engine.config().frontend) << "staged change must not pre-empt";
 
   engine.offer(std::span<const net::RawPacketView>(views).subspan(100, 100),

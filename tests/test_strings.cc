@@ -59,6 +59,12 @@ TEST(ParseByteSize, BinarySuffixesAndCap) {
   EXPECT_EQ(parse_byte_size(""), 0u);       // no digits
   EXPECT_EQ(parse_byte_size("2048G"), 0u);  // 2 TiB, over the 1 TiB cap
   EXPECT_EQ(parse_byte_size("1024G"), std::size_t{1} << 40);
+  // The whole spec must parse: no sign, padding, second suffix or NUL.
+  EXPECT_EQ(parse_byte_size(" 4M"), 0u);
+  EXPECT_EQ(parse_byte_size("+4M"), 0u);
+  EXPECT_EQ(parse_byte_size("-1"), 0u);
+  EXPECT_EQ(parse_byte_size("4MB"), 0u);
+  EXPECT_EQ(parse_byte_size(std::string_view("4\0", 2)), 0u);
 }
 
 TEST(TimeTypes, DurationArithmetic) {
