@@ -1,4 +1,5 @@
-// Engineering microbenchmarks: parser hot paths (google-benchmark).
+// Engineering microbenchmarks: parser hot paths and the journal
+// checksum (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include "net/build.h"
@@ -6,6 +7,7 @@
 #include "proto/rtp.h"
 #include "proto/stun.h"
 #include "sim/wire.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "zoom/classify.h"
 
@@ -89,6 +91,36 @@ void BM_FullFrameDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(pkt.data.size()));
 }
 BENCHMARK(BM_FullFrameDecode);
+
+/// One meeting-dense journal record: a 178 KiB slice payload, which
+/// every window query checksums before decoding.
+std::vector<std::uint8_t> journal_record_bytes() {
+  util::Rng rng(178);
+  std::vector<std::uint8_t> bytes(178 * 1024);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u32());
+  return bytes;
+}
+
+template <std::uint32_t (*Crc)(std::span<const std::uint8_t>, std::uint32_t)>
+void run_crc32(benchmark::State& state) {
+  const auto bytes = journal_record_bytes();
+  for (auto _ : state) {
+    auto crc = Crc(bytes, 0);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+
+/// The bytewise loop every kernel must agree with.
+void BM_Crc32Reference(benchmark::State& state) {
+  run_crc32<util::detail::crc32_reference>(state);
+}
+BENCHMARK(BM_Crc32Reference);
+
+/// The kernel `util::crc32` dispatches to on this CPU.
+void BM_Crc32(benchmark::State& state) { run_crc32<util::crc32>(state); }
+BENCHMARK(BM_Crc32);
 
 }  // namespace
 

@@ -13,15 +13,21 @@
 //   1 -> decode_epoch_slice over the payload as one record payload
 //   2 -> parse_query_request over the payload as text
 //   3 -> parse_manifest over the payload as text
+//   4 -> as 0, after re-framing the payload: every ZJRC frame's payload
+//        CRC and the trailer's seek CRC are recomputed, so mutations
+//        reach index and offset validation instead of dying at the
+//        checksum
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "query/query.h"
 #include "util/bytes.h"
+#include "util/crc32.h"
 
 namespace {
 
@@ -69,6 +75,52 @@ void check_journal_image(std::span<const std::uint8_t> payload) {
         if (ref >= records.size()) die("dictionary ref out of range");
     }
   }
+}
+
+void store_u32be(std::uint8_t* at, std::uint32_t v) {
+  at[0] = static_cast<std::uint8_t>(v >> 24);
+  at[1] = static_cast<std::uint8_t>(v >> 16);
+  at[2] = static_cast<std::uint8_t>(v >> 8);
+  at[3] = static_cast<std::uint8_t>(v);
+}
+
+/// Rewrites the checksums of a journal image in place so they match
+/// whatever bytes the mutator left: walks the body from the header end
+/// (magic 4, version 4, site_len 1, site, shard_count 4), fixing the
+/// CRC of each ZJRC frame whose length fits (marker 4, kind 1, len 8,
+/// crc 4) and resyncing byte by byte like the reader's scan, then the
+/// trailer's seek CRC over its first 16 bytes.
+void reframe_journal(std::vector<std::uint8_t>& image) {
+  constexpr std::size_t kFrameOverhead = 17;
+  constexpr std::size_t kTrailerLen = 24;
+  if (image.size() < 9) return;
+  const std::size_t body = std::size_t{9} + image[8] + 4;
+  std::size_t pos = body;
+  while (pos < image.size() && image.size() - pos >= kFrameOverhead) {
+    const std::uint8_t* at = image.data() + pos;
+    if (at[0] != 'Z' || at[1] != 'J' || at[2] != 'R' || at[3] != 'C') {
+      ++pos;
+      continue;
+    }
+    const std::uint64_t len = zpm::util::ByteReader({at + 5, 8}).u64be();
+    if (len > image.size() - pos - kFrameOverhead) {
+      ++pos;
+      continue;
+    }
+    store_u32be(image.data() + pos + 13,
+                zpm::util::crc32({at + kFrameOverhead, len}));
+    pos += kFrameOverhead + len;
+  }
+  if (image.size() >= body + kTrailerLen) {
+    std::uint8_t* trailer = image.data() + image.size() - kTrailerLen;
+    store_u32be(trailer + 16, zpm::util::crc32({trailer, 16}));
+  }
+}
+
+void check_reframed_journal(std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> image(payload.begin(), payload.end());
+  reframe_journal(image);
+  check_journal_image(image);
 }
 
 void check_slice_payload(std::span<const std::uint8_t> payload) {
@@ -124,11 +176,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 1) return 0;
   const std::span<const std::uint8_t> payload(data + 1, size - 1);
-  switch (data[0] % 4) {
+  switch (data[0] % 5) {
     case 0: check_journal_image(payload); break;
     case 1: check_slice_payload(payload); break;
     case 2: check_request_text(payload); break;
-    default: check_manifest_text(payload); break;
+    case 3: check_manifest_text(payload); break;
+    default: check_reframed_journal(payload); break;
   }
   return 0;
 }

@@ -509,10 +509,12 @@ int main(int argc, char** argv) {
   }
 
   // fuzz_query: [selector u8] routes 0 -> journal file image, 1 ->
-  // record payload, 2 -> query-request text, 3 -> MANIFEST text. Seeds:
-  // a sealed two-record journal and its unsealed (scan-path) twin, one
-  // encoded record, and canonical request/manifest text, so the fuzzer
-  // starts past the CRC framing and the header grammar.
+  // record payload, 2 -> query-request text, 3 -> MANIFEST text, 4 ->
+  // journal image with its CRCs recomputed. Seeds: a sealed two-record
+  // journal and its unsealed (scan-path) twin, the sealed one again
+  // under the re-framing selector, one encoded record, and canonical
+  // request/manifest text, so the fuzzer starts past the CRC framing
+  // and the header grammar.
   {
     query::EpochSlice slice;
     slice.seq = 0;
@@ -588,6 +590,11 @@ int main(int argc, char** argv) {
     write_seed(root / "fuzz_query", "journal_unsealed.bin", seed);
 
     seed.clear();
+    seed.push_back(4);  // selector: re-framed journal image
+    seed.insert(seed.end(), sealed.begin(), sealed.end());
+    write_seed(root / "fuzz_query", "journal_reframed.bin", seed);
+
+    seed.clear();
     seed.push_back(1);  // selector: record payload
     util::ByteWriter sw;
     query::encode_epoch_slice(slice, sw);
@@ -613,6 +620,22 @@ int main(int argc, char** argv) {
     seed.assign(1, 3);  // selector: manifest text
     seed.insert(seed.end(), text.begin(), text.end());
     write_seed(root / "fuzz_query", "manifest.bin", seed);
+  }
+
+  // fuzz_crc32: [seed u32le][offset u8][split u16le][data]. The check
+  // string with a zero seed, and a 1100-byte random block with a
+  // nonzero seed, an odd offset and a split inside the folding bulk.
+  {
+    const std::string check = "123456789";
+    std::vector<std::uint8_t> seed(7, 0);
+    seed.insert(seed.end(), check.begin(), check.end());
+    write_seed(root / "fuzz_crc32", "check_string.bin", seed);
+
+    util::Rng rng(1100);
+    seed = {0x78, 0x56, 0x34, 0x12, 5, 0x2c, 0x01};  // seed, offset, split 300
+    for (int i = 0; i < 1100; ++i)
+      seed.push_back(static_cast<std::uint8_t>(rng.next_u32()));
+    write_seed(root / "fuzz_crc32", "random_1100.bin", seed);
   }
 
   std::printf("corpus written under %s\n", root.string().c_str());
