@@ -53,7 +53,7 @@ namespace {
 volatile std::sig_atomic_t g_interrupted = 0;
 void on_interrupt(int) { g_interrupted = 1; }
 
-void print_summary(const core::AnalyzerCounters& c, core::AnalyzerHealth h,
+void print_summary(const core::AnalyzerCounters& c, const core::AnalyzerHealth& h,
                    std::size_t meetings, std::size_t streams,
                    std::uint64_t processed) {
   std::printf("\nday summary: %llu packets processed, %llu Zoom (%s), "
@@ -61,19 +61,11 @@ void print_summary(const core::AnalyzerCounters& c, core::AnalyzerHealth h,
               static_cast<unsigned long long>(processed),
               static_cast<unsigned long long>(c.zoom_packets),
               util::human_bytes(c.zoom_bytes).c_str(), meetings, streams);
-  // Front-end screening, sketch-tier churn and offload coverage are
-  // accounting, not loss: zero them out of the all-clear gate so the
-  // summary line is identical with the front end / tier / offload on or
-  // off (--frontend-stats and --sketch-stats report the details).
-  h.frontend_rejected = 0;
-  h.sketch_evicted = 0;
-  h.offload_covered_packets = 0;
-  h.offload_collisions = 0;
-  h.offload_evictions = 0;
-  // A replayed trace is one window that is read, never retired.
-  h.epoch_evicted_flows = 0;
-  h.epoch_evicted_meetings = 0;
-  if (h.all_clear()) {
+  // Accounting rows (front-end screening, sketch churn, offload
+  // coverage, overload sheds, epoch retirement) are not loss: the
+  // summary line stays identical with those features on or off
+  // (--frontend-stats and --sketch-stats report the details).
+  if (h.records_clear()) {
     std::printf("analyzer health: all clear\n");
   } else {
     std::printf("analyzer health: %llu records dropped "

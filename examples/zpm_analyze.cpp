@@ -217,22 +217,10 @@ void print_report(const analysis::EpochReport& rep, StreamList streams,
   std::printf("%s", t.render().c_str());
 
   std::printf("\n== analyzer health =============================================\n");
-  // Front-end screening and sketch-tier churn are accounting, not loss:
-  // a trace whose only nonzero counters are frontend-rejected or
-  // sketch-evicted is still all clear, keeping this section identical
-  // with the front end / tier on or off (--frontend-stats and
-  // --sketch-stats report the details).
-  auto health_gate = rep.health;
-  health_gate.frontend_rejected = 0;
-  health_gate.sketch_evicted = 0;
-  health_gate.overload_shed_l1 = 0;
-  health_gate.overload_shed_l2 = 0;
-  health_gate.overload_shed_l3 = 0;
-  health_gate.overload_shed_l4 = 0;
-  health_gate.offload_covered_packets = 0;
-  health_gate.offload_collisions = 0;
-  health_gate.offload_evictions = 0;
-  if (health_gate.all_clear()) {
+  // Accounting rows (front-end screening, sketch churn, offload
+  // coverage, overload sheds) are not loss: the verdict stays identical
+  // with those features on or off, and the table below lists them.
+  if (rep.health.records_clear()) {
     std::printf("all clear: every record was fully analyzed\n");
   } else {
     util::TextTable health;

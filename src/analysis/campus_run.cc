@@ -1,9 +1,13 @@
 #include "analysis/campus_run.h"
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <span>
 
 #include "analysis/epoch.h"
+#include "analysis/options.h"
 
 namespace zpm::analysis {
 
@@ -58,6 +62,24 @@ void extract_streams(std::span<const core::StreamInfo* const> streams,
   }
   for (auto& [kind, binner] : media_bins)
     result.media_rate[kind] = binner.series();
+}
+
+/// Environment variable `name` as a positive finite number up to `max`,
+/// into `out`. A malformed or out-of-range value prints one stderr line
+/// naming the variable and leaves `out` at its default.
+template <class T>
+void read_positive_env(const char* name, T& out,
+                       T max = std::numeric_limits<T>::max()) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return;
+  T value{};
+  if (parse_whole(text, value) && value > 0 && value <= max &&
+      std::isfinite(static_cast<double>(value))) {
+    out = value;
+    return;
+  }
+  std::fprintf(stderr, "warning: ignoring %s=%s (want a positive number)\n",
+               name, text);
 }
 
 }  // namespace
@@ -145,14 +167,13 @@ CampusRunConfig default_campus_config() {
   // shards the analyzer, so the full 12-hour run is one environment
   // variable away.
   double scale = 1.0;
-  if (const char* s = std::getenv("ZPM_CAMPUS_SCALE")) scale = std::atof(s);
+  read_positive_env("ZPM_CAMPUS_SCALE", scale);
   double hours = 12.0;
-  if (const char* h = std::getenv("ZPM_CAMPUS_HOURS")) hours = std::atof(h);
-  if (const char* t = std::getenv("ZPM_ANALYSIS_THREADS"))
-    config.analysis_threads =
-        static_cast<std::size_t>(std::strtoul(t, nullptr, 10));
+  // Bounded like an option's seconds: the microseconds fit an int64.
+  read_positive_env("ZPM_CAMPUS_HOURS", hours, 9e12 / 3600.0);
+  read_positive_env("ZPM_ANALYSIS_THREADS", config.analysis_threads);
   config.campus.duration = util::Duration::seconds(hours * 3600.0);
-  config.campus.meetings_per_peak_hour = 3.0 * (scale > 0 ? scale : 1.0);
+  config.campus.meetings_per_peak_hour = 3.0 * scale;
   config.campus.background_ratio = 1.5;
   return config;
 }

@@ -41,109 +41,15 @@ bool decode_tallies(util::ByteReader& r, std::array<core::Tally, N>& tallies) {
   return r.ok();
 }
 
-void encode_health(const core::AnalyzerHealth& h, util::ByteWriter& w) {
-  w.u64be(h.truncated_l2);
-  w.u64be(h.non_ipv4);
-  w.u64be(h.bad_l3);
-  w.u64be(h.ip_fragments);
-  w.u64be(h.unsupported_l4);
-  w.u64be(h.bad_l4);
-  w.u64be(h.snaplen_truncated);
-  w.u64be(h.non_monotonic_ts);
-  w.u64be(h.frontend_rejected);
-  w.u64be(h.sketch_evicted);
-  w.u64be(h.bad_sfu_encap);
-  w.u64be(h.bad_media_encap);
-  w.u64be(h.malformed_rtp);
-  w.u64be(h.malformed_rtcp);
-  w.u64be(h.malformed_stun);
-  w.u64be(h.unknown_payload_type);
-  w.u64be(h.quarantined_flows);
-  w.u64be(h.quarantined_packets);
-  w.u64be(h.epoch_evicted_flows);
-  w.u64be(h.epoch_evicted_meetings);
-  w.u64be(h.overload_shed_l1);
-  w.u64be(h.overload_shed_l2);
-  w.u64be(h.overload_shed_l3);
-  w.u64be(h.overload_shed_l4);
-  w.u64be(h.ring_wait_spins);
-  w.u64be(h.source_stalls);
-  w.u64be(h.kernel_packets);
-  w.u64be(h.kernel_drops);
-  w.u64be(h.offload_covered_packets);
-  w.u64be(h.offload_collisions);
-  w.u64be(h.offload_evictions);
-}
-
-bool decode_health(util::ByteReader& r, core::AnalyzerHealth& h) {
-  h.truncated_l2 = r.u64be();
-  h.non_ipv4 = r.u64be();
-  h.bad_l3 = r.u64be();
-  h.ip_fragments = r.u64be();
-  h.unsupported_l4 = r.u64be();
-  h.bad_l4 = r.u64be();
-  h.snaplen_truncated = r.u64be();
-  h.non_monotonic_ts = r.u64be();
-  h.frontend_rejected = r.u64be();
-  h.sketch_evicted = r.u64be();
-  h.bad_sfu_encap = r.u64be();
-  h.bad_media_encap = r.u64be();
-  h.malformed_rtp = r.u64be();
-  h.malformed_rtcp = r.u64be();
-  h.malformed_stun = r.u64be();
-  h.unknown_payload_type = r.u64be();
-  h.quarantined_flows = r.u64be();
-  h.quarantined_packets = r.u64be();
-  h.epoch_evicted_flows = r.u64be();
-  h.epoch_evicted_meetings = r.u64be();
-  h.overload_shed_l1 = r.u64be();
-  h.overload_shed_l2 = r.u64be();
-  h.overload_shed_l3 = r.u64be();
-  h.overload_shed_l4 = r.u64be();
-  h.ring_wait_spins = r.u64be();
-  h.source_stalls = r.u64be();
-  h.kernel_packets = r.u64be();
-  h.kernel_drops = r.u64be();
-  h.offload_covered_packets = r.u64be();
-  h.offload_collisions = r.u64be();
-  h.offload_evictions = r.u64be();
-  return r.ok();
-}
-
 void encode_counters(const core::AnalyzerCounters& c, util::ByteWriter& w) {
-  w.u64be(c.total_packets);
-  w.u64be(c.total_bytes);
-  w.u64be(c.zoom_packets);
-  w.u64be(c.zoom_bytes);
-  w.u64be(c.server_udp_packets);
-  w.u64be(c.p2p_udp_packets);
-  w.u64be(c.stun_packets);
-  w.u64be(c.tcp_control_packets);
-  w.u64be(c.media_packets);
-  w.u64be(c.rtcp_packets);
-  w.u64be(c.unknown_sfu_packets);
-  w.u64be(c.unknown_media_packets);
-  w.u64be(c.p2p_false_positives);
+  util::encode_fields(c, core::kCounterFields, w);
   encode_tallies(c.encap_tally, w);
   encode_tallies(c.payload_tally, w);
 }
 
 bool decode_counters(util::ByteReader& r, core::AnalyzerCounters& c) {
-  c.total_packets = r.u64be();
-  c.total_bytes = r.u64be();
-  c.zoom_packets = r.u64be();
-  c.zoom_bytes = r.u64be();
-  c.server_udp_packets = r.u64be();
-  c.p2p_udp_packets = r.u64be();
-  c.stun_packets = r.u64be();
-  c.tcp_control_packets = r.u64be();
-  c.media_packets = r.u64be();
-  c.rtcp_packets = r.u64be();
-  c.unknown_sfu_packets = r.u64be();
-  c.unknown_media_packets = r.u64be();
-  c.p2p_false_positives = r.u64be();
-  return r.ok() && decode_tallies(r, c.encap_tally) &&
-         decode_tallies(r, c.payload_tally);
+  return util::decode_fields(r, c, core::kCounterFields) &&
+         decode_tallies(r, c.encap_tally) && decode_tallies(r, c.payload_tally);
 }
 
 }  // namespace
@@ -155,16 +61,12 @@ void encode_epoch_report(const EpochReport& report, util::ByteWriter& w) {
   w.u64be(static_cast<std::uint64_t>(report.first_ts.us()));
   w.u64be(static_cast<std::uint64_t>(report.last_ts.us()));
   encode_counters(report.counters, w);
-  encode_health(report.health, w);
+  util::encode_fields(report.health, core::kHealthFields, w);
   w.u64be(report.stream_count);
   w.u64be(report.media_count);
   w.u64be(report.meeting_count);
   w.u64be(report.zoom_flow_count);
-  w.u64be(report.tier_stats.absorbed_packets);
-  w.u64be(report.tier_stats.absorbed_bytes);
-  w.u64be(report.tier_stats.promotions);
-  w.u64be(report.tier_stats.demotions);
-  w.u64be(report.tier_stats.evictions);
+  util::encode_fields(report.tier_stats, sketch::kTierStatsFields, w);
   w.u32be(static_cast<std::uint32_t>(report.heavy_hitters.size()));
   for (const auto& h : report.heavy_hitters) {
     const net::PackedFlowKey key(h.flow);
@@ -187,16 +89,12 @@ bool decode_epoch_report(util::ByteReader& r, EpochReport& report) {
   report.last_ts =
       util::Timestamp::from_micros(static_cast<std::int64_t>(r.u64be()));
   if (!decode_counters(r, report.counters)) return false;
-  if (!decode_health(r, report.health)) return false;
+  if (!util::decode_fields(r, report.health, core::kHealthFields)) return false;
   report.stream_count = r.u64be();
   report.media_count = r.u64be();
   report.meeting_count = r.u64be();
   report.zoom_flow_count = r.u64be();
-  report.tier_stats.absorbed_packets = r.u64be();
-  report.tier_stats.absorbed_bytes = r.u64be();
-  report.tier_stats.promotions = r.u64be();
-  report.tier_stats.demotions = r.u64be();
-  report.tier_stats.evictions = r.u64be();
+  util::decode_fields(r, report.tier_stats, sketch::kTierStatsFields);
   const std::uint32_t hitters = r.u32be();
   if (!r.can_read(std::size_t{hitters} * 40)) return false;
   report.heavy_hitters.clear();
@@ -461,10 +359,7 @@ EpochReport EpochEngine::close_epoch(query::EpochSliceSet* slices) {
   rep.health.overload_shed_l4 += shed.l4_packets - shed_base_.l4_packets;
   rep.max_overload_level = static_cast<std::uint32_t>(epoch_max_level_);
   // Durable records carry only sequence-deterministic values.
-  rep.health.ring_wait_spins = 0;
-  rep.health.source_stalls = 0;
-  rep.health.kernel_packets = 0;
-  rep.health.kernel_drops = 0;
+  core::zero_gauges(rep.health);
   // Journal slices are built from the retiring analyzer state *after*
   // the gauge zeroing above, so the report bytes shard 0 carries equal
   // the durable epoch record byte-for-byte.

@@ -1,11 +1,9 @@
 #include "analysis/options.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <istream>
-#include <type_traits>
 
 #include "overload/governor.h"
 #include "util/strings.h"
@@ -21,16 +19,6 @@ constexpr const char* kWants[] = {
     "a byte count like 4M or 262144", "a value",
     "\"begin-end:pressure[,...]\" over packet indices"};
 const char* wants(OptionKind kind) { return kWants[static_cast<int>(kind)]; }
-
-/// std::from_chars over the whole of `text`.
-template <class T>
-bool parse_whole(std::string_view text, T& out, int base = 10) {
-  const char* end = text.data() + text.size();
-  std::from_chars_result r{};
-  if constexpr (std::is_integral_v<T>) r = std::from_chars(text.data(), end, out, base);
-  else r = std::from_chars(text.data(), end, out);
-  return r.ec == std::errc{} && r.ptr == end;
-}
 
 /// Stores an integer into a 64- or 32-bit field; false if it does not fit.
 bool put(const Option& opt, std::uint64_t v) {

@@ -6,12 +6,14 @@
 // when it has a config key. See DESIGN.md "Continuous operation".
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <iosfwd>
 #include <set>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -79,6 +81,17 @@ std::string usage(const OptionTable& table, std::string_view synopsis);
 /// Prints `error` (if any) and the usage text to stderr; returns 2.
 int usage_error(const OptionTable& table, std::string_view error,
                 std::string_view synopsis);
+
+/// std::from_chars over the whole of `text`: the number parse behind
+/// every numeric row (no sign on unsigned types, no trailing bytes).
+template <class T>
+bool parse_whole(std::string_view text, T& out, int base = 10) {
+  const char* end = text.data() + text.size();
+  std::from_chars_result r{};
+  if constexpr (std::is_integral_v<T>) r = std::from_chars(text.data(), end, out, base);
+  else r = std::from_chars(text.data(), end, out);
+  return r.ec == std::errc{} && r.ptr == end;
+}
 
 /// Every row that writes an EpochEngineConfig field, for all surfaces.
 OptionTable engine_options(EpochEngineConfig& config);

@@ -87,67 +87,11 @@ std::vector<PayloadTypeRow> table3_rows(const core::AnalyzerCounters& counters) 
 
 std::vector<HealthRow> health_rows(const core::AnalyzerHealth& h) {
   std::vector<HealthRow> rows;
-  auto add = [&](std::string_view category, std::string_view description,
-                 std::uint64_t count, bool dropped) {
-    if (count > 0) rows.push_back(HealthRow{category, description, count, dropped});
-  };
-  add("truncated-l2", "frame shorter than an Ethernet header", h.truncated_l2, true);
-  add("non-ipv4", "non-IPv4 ethertype (ARP/IPv6/...; benign)", h.non_ipv4, false);
-  add("bad-l3", "truncated or inconsistent IPv4 header", h.bad_l3, true);
-  add("ip-fragments", "non-first IP fragments (no L4 header)", h.ip_fragments, false);
-  add("unsupported-l4", "IP protocol other than UDP/TCP (benign)", h.unsupported_l4,
-      false);
-  add("bad-l4", "truncated or inconsistent UDP/TCP header", h.bad_l4, true);
-  add("snaplen-truncated", "captured bytes < reported wire length",
-      h.snaplen_truncated, false);
-  add("non-monotonic-ts", "timestamp regressed vs. previous record",
-      h.non_monotonic_ts, false);
-  add("frontend-rejected", "screened out by the capture front end (never decoded)",
-      h.frontend_rejected, false);
-  add("sketch-evicted", "sketch-tier flow churn: heavy-hitter evictions + demotions",
-      h.sketch_evicted, false);
-  add("bad-sfu-encap", "server payload below the 8-byte SFU encap", h.bad_sfu_encap,
-      true);
-  add("bad-media-encap", "known encap type with truncated header", h.bad_media_encap,
-      true);
-  add("malformed-rtp", "media encap promised RTP, parse failed", h.malformed_rtp,
-      true);
-  add("malformed-rtcp", "RTCP encap with empty compound parse", h.malformed_rtcp,
-      true);
-  add("malformed-stun", "port-3478 exchange that is not STUN", h.malformed_stun,
-      true);
-  add("unknown-payload-type", "RTP payload type outside Table 3",
-      h.unknown_payload_type, false);
-  add("quarantined-flows", "flows exceeding the malformed-streak threshold",
-      h.quarantined_flows, false);
-  add("quarantined-packets", "packets skipped on quarantined flows",
-      h.quarantined_packets, true);
-  add("epoch-evicted-flows", "flow state retired at epoch rotation (bounded memory)",
-      h.epoch_evicted_flows, false);
-  add("epoch-evicted-meetings", "meeting state retired at epoch rotation",
-      h.epoch_evicted_meetings, false);
-  add("overload-shed-l1", "overload L1: front-end rejects dropped pre-dispatch",
-      h.overload_shed_l1, false);
-  add("overload-shed-l2", "overload L2: non-Zoom-candidate admission sampling",
-      h.overload_shed_l2, false);
-  add("overload-shed-l3", "overload L3: media-flow packet sampling (degraded)",
-      h.overload_shed_l3, false);
-  add("overload-shed-l4", "overload L4: whole-batch head-drop + ring sheds",
-      h.overload_shed_l4, false);
-  add("ring-wait-spins", "producer spins on a full shard ring (timing-dependent)",
-      h.ring_wait_spins, false);
-  add("source-stalls", "watchdog-detected source stalls + reopens (timing-dependent)",
-      h.source_stalls, false);
-  add("kernel-packets", "packets seen at the kernel capture point (live gauge)",
-      h.kernel_packets, false);
-  add("kernel-drops", "kernel ring drops before the daemon saw the packet",
-      h.kernel_drops, false);
-  add("offload-covered", "metric work absorbed by the data-plane offload",
-      h.offload_covered_packets, false);
-  add("offload-collisions", "offload probe/telemetry register slot overwrites",
-      h.offload_collisions, false);
-  add("offload-evictions", "offload jitter scratch slots lost to colliding streams",
-      h.offload_evictions, false);
+  for (const auto& field : core::kHealthFields) {
+    if (h.*field.member > 0)
+      rows.push_back(HealthRow{field.name, field.description, h.*field.member,
+                               field.cls == core::HealthClass::Drop});
+  }
   return rows;
 }
 

@@ -43,7 +43,7 @@ struct HealthRow {
   bool dropped = false;  // counts toward AnalyzerHealth::dropped_records()
 };
 
-/// Non-zero health counters in struct declaration order; empty exactly
+/// Non-zero health counters in core::kHealthFields order; empty exactly
 /// when health.all_clear().
 std::vector<HealthRow> health_rows(const core::AnalyzerHealth& health);
 

@@ -56,11 +56,7 @@ std::size_t offload_bucket(std::uint64_t us) {
 void OffloadReport::merge(const OffloadReport& other) {
   jitter.merge(other.jitter);
   rtt.merge(other.rtt);
-  covered_packets += other.covered_packets;
-  probe_arms += other.probe_arms;
-  probe_collisions += other.probe_collisions;
-  flow_evictions += other.flow_evictions;
-  telemetry_collisions += other.telemetry_collisions;
+  util::merge_fields(*this, other, kOffloadReportFields);
 }
 
 void encode_offload_report(const OffloadReport& report, util::ByteWriter& w) {
@@ -69,11 +65,7 @@ void encode_offload_report(const OffloadReport& report, util::ByteWriter& w) {
   w.u64be(report.jitter.samples);
   for (std::uint64_t b : report.rtt.buckets) w.u64be(b);
   w.u64be(report.rtt.samples);
-  w.u64be(report.covered_packets);
-  w.u64be(report.probe_arms);
-  w.u64be(report.probe_collisions);
-  w.u64be(report.flow_evictions);
-  w.u64be(report.telemetry_collisions);
+  util::encode_fields(report, kOffloadReportFields, w);
 }
 
 std::optional<OffloadReport> decode_offload_report(util::ByteReader& r) {
@@ -89,12 +81,7 @@ std::optional<OffloadReport> decode_offload_report(util::ByteReader& r) {
     return h.samples == sum;  // counters only ever increment together
   };
   if (!histogram(report.jitter) || !histogram(report.rtt)) return std::nullopt;
-  report.covered_packets = r.u64be();
-  report.probe_arms = r.u64be();
-  report.probe_collisions = r.u64be();
-  report.flow_evictions = r.u64be();
-  report.telemetry_collisions = r.u64be();
-  if (!r.ok()) return std::nullopt;
+  if (!util::decode_fields(r, report, kOffloadReportFields)) return std::nullopt;
   return report;
 }
 

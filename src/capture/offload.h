@@ -47,6 +47,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -55,6 +56,7 @@
 #include "capture/inline_telemetry.h"
 #include "capture/resources.h"
 #include "util/bytes.h"
+#include "util/counter_table.h"
 #include "util/time.h"
 
 namespace zpm::capture {
@@ -102,6 +104,23 @@ struct OffloadReport {
   }
   bool operator==(const OffloadReport&) const = default;
 };
+
+/// The scalar OffloadReport counters, in declaration order (the wire
+/// order after the two histograms; util/counter_table.h).
+inline constexpr std::array<util::CounterField<OffloadReport>, 5>
+    kOffloadReportFields{{
+        {&OffloadReport::covered_packets, "covered-packets"},
+        {&OffloadReport::probe_arms, "probe-arms"},
+        {&OffloadReport::probe_collisions, "probe-collisions"},
+        {&OffloadReport::flow_evictions, "flow-evictions"},
+        {&OffloadReport::telemetry_collisions, "telemetry-collisions"},
+    }};
+
+// A scalar counter added to OffloadReport without a row fails here.
+static_assert(sizeof(OffloadReport) ==
+                  offsetof(OffloadReport, covered_packets) +
+                      kOffloadReportFields.size() * sizeof(std::uint64_t) &&
+              util::distinct_members(kOffloadReportFields));
 
 /// Deterministic big-endian codec for the epoch/snapshot formats and
 /// the fuzz_offload fixpoint target.

@@ -29,19 +29,7 @@ Analyzer::Analyzer(AnalyzerConfig config)
 }
 
 void AnalyzerCounters::merge(const AnalyzerCounters& other) {
-  total_packets += other.total_packets;
-  total_bytes += other.total_bytes;
-  zoom_packets += other.zoom_packets;
-  zoom_bytes += other.zoom_bytes;
-  server_udp_packets += other.server_udp_packets;
-  p2p_udp_packets += other.p2p_udp_packets;
-  stun_packets += other.stun_packets;
-  tcp_control_packets += other.tcp_control_packets;
-  media_packets += other.media_packets;
-  rtcp_packets += other.rtcp_packets;
-  unknown_sfu_packets += other.unknown_sfu_packets;
-  unknown_media_packets += other.unknown_media_packets;
-  p2p_false_positives += other.p2p_false_positives;
+  util::merge_fields(*this, other, kCounterFields);
   for (std::size_t i = 0; i < encap_tally.size(); ++i) {
     encap_tally[i].packets += other.encap_tally[i].packets;
     encap_tally[i].bytes += other.encap_tally[i].bytes;
@@ -73,21 +61,21 @@ AnalyzerCounters::payload_types() const {
   return out;
 }
 
-void Analyzer::flag(std::uint64_t AnalyzerHealth::* field,
-                    std::string_view category, util::Timestamp ts) {
+void Analyzer::flag(HealthCounter field, util::Timestamp ts) {
   ++(health_.*field);
   if (config_.strict && !violation_) {
     // Sequence numbers are 1-based offer indices; in sharded mode the
     // journal carries the dispatcher's 0-based global sequence.
     violation_ = StrictViolation{
-        category, journal_ ? journal_->seq + 1 : counters_.total_packets, ts};
+        health_name(field), journal_ ? journal_->seq + 1 : counters_.total_packets,
+        ts};
   }
 }
 
 void Analyzer::note_decode_failure(net::DecodeFailure df, util::Timestamp ts) {
-  std::string_view category = apply_decode_failure(health_, df);
-  if (!category.empty() && config_.strict && !violation_)
-    violation_ = StrictViolation{category, counters_.total_packets, ts};
+  const HealthCounter mangled = apply_decode_failure(health_, df);
+  if (mangled != nullptr && config_.strict && !violation_)
+    violation_ = StrictViolation{health_name(mangled), counters_.total_packets, ts};
 }
 
 void Analyzer::note_dissect_flaw(zoom::DissectFlaw flaw, util::Timestamp ts) {
@@ -97,16 +85,16 @@ void Analyzer::note_dissect_flaw(zoom::DissectFlaw flaw, util::Timestamp ts) {
     case zoom::DissectFlaw::UnknownMediaType:
       return;
     case zoom::DissectFlaw::TruncatedSfu:
-      flag(&AnalyzerHealth::bad_sfu_encap, "bad-sfu-encap", ts);
+      flag(&AnalyzerHealth::bad_sfu_encap, ts);
       return;
     case zoom::DissectFlaw::TruncatedMediaEncap:
-      flag(&AnalyzerHealth::bad_media_encap, "bad-media-encap", ts);
+      flag(&AnalyzerHealth::bad_media_encap, ts);
       return;
     case zoom::DissectFlaw::BadRtp:
-      flag(&AnalyzerHealth::malformed_rtp, "malformed-rtp", ts);
+      flag(&AnalyzerHealth::malformed_rtp, ts);
       return;
     case zoom::DissectFlaw::BadRtcp:
-      flag(&AnalyzerHealth::malformed_rtcp, "malformed-rtcp", ts);
+      flag(&AnalyzerHealth::malformed_rtcp, ts);
       return;
   }
 }
@@ -132,7 +120,7 @@ void Analyzer::note_flow_quality(const net::FiveTuple& flow, bool malformed,
   if (++streak >= config_.quarantine_threshold) {
     malformed_streaks_.erase(flow);
     quarantined_.insert(flow);
-    flag(&AnalyzerHealth::quarantined_flows, "quarantined-flows", ts);
+    flag(&AnalyzerHealth::quarantined_flows, ts);
   }
 }
 
@@ -213,7 +201,7 @@ bool Analyzer::handle_stun(const net::PacketView& view, bool server_is_src) {
   if (!zp) {
     // Port 3478 to/from a Zoom zone controller that does not parse as
     // STUN: mangled in flight, or a squatter on the STUN port.
-    flag(&AnalyzerHealth::malformed_stun, "malformed-stun", view.ts);
+    flag(&AnalyzerHealth::malformed_stun, view.ts);
     return false;
   }
   account_zoom(view);

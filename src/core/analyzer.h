@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -108,9 +109,33 @@ struct AnalyzerCounters {
 
   bool operator==(const AnalyzerCounters&) const = default;
 
-  /// Adds another shard's counters (plain sums + tally merges).
+  /// Adds another shard's counters (kCounterFields sums + tally merges).
   void merge(const AnalyzerCounters& other);
 };
+
+/// The scalar AnalyzerCounters, in declaration order (the epoch wire
+/// order; util/counter_table.h). The two tally arrays follow them.
+inline constexpr std::array<util::CounterField<AnalyzerCounters>, 13>
+    kCounterFields{{
+        {&AnalyzerCounters::total_packets, "total-packets"},
+        {&AnalyzerCounters::total_bytes, "total-bytes"},
+        {&AnalyzerCounters::zoom_packets, "zoom-packets"},
+        {&AnalyzerCounters::zoom_bytes, "zoom-bytes"},
+        {&AnalyzerCounters::server_udp_packets, "server-udp-packets"},
+        {&AnalyzerCounters::p2p_udp_packets, "p2p-udp-packets"},
+        {&AnalyzerCounters::stun_packets, "stun-packets"},
+        {&AnalyzerCounters::tcp_control_packets, "tcp-control-packets"},
+        {&AnalyzerCounters::media_packets, "media-packets"},
+        {&AnalyzerCounters::rtcp_packets, "rtcp-packets"},
+        {&AnalyzerCounters::unknown_sfu_packets, "unknown-sfu-packets"},
+        {&AnalyzerCounters::unknown_media_packets, "unknown-media-packets"},
+        {&AnalyzerCounters::p2p_false_positives, "p2p-false-positives"},
+    }};
+
+// A scalar counter added to AnalyzerCounters without a row fails here.
+static_assert(offsetof(AnalyzerCounters, encap_tally) ==
+                  kCounterFields.size() * sizeof(std::uint64_t) &&
+              util::distinct_members(kCounterFields));
 
 /// See file comment.
 class Analyzer {
@@ -192,8 +217,7 @@ class Analyzer {
   bool handle_tcp(const net::PacketView& view);
   void account_zoom(const net::PacketView& view);
   /// Increments a health counter and arms the strict violation.
-  void flag(std::uint64_t AnalyzerHealth::* field, std::string_view category,
-            util::Timestamp ts);
+  void flag(HealthCounter field, util::Timestamp ts);
   void note_decode_failure(net::DecodeFailure df, util::Timestamp ts);
   void note_dissect_flaw(zoom::DissectFlaw flaw, util::Timestamp ts);
   /// Timestamp monotonicity is a property of the global offer order, so

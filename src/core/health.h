@@ -20,10 +20,12 @@
 // real live-mode signals they are timing-dependent like any shed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
 #include "net/packet.h"
+#include "util/counter_table.h"
 #include "util/time.h"
 
 namespace zpm::core {
@@ -100,41 +102,10 @@ struct AnalyzerHealth {
 
   bool operator==(const AnalyzerHealth&) const = default;
 
-  /// Adds another shard's counters. Plain u64 sums: merging per-shard
-  /// values in any order is bit-identical to serial counting.
-  void merge(const AnalyzerHealth& o) {
-    truncated_l2 += o.truncated_l2;
-    non_ipv4 += o.non_ipv4;
-    bad_l3 += o.bad_l3;
-    ip_fragments += o.ip_fragments;
-    unsupported_l4 += o.unsupported_l4;
-    bad_l4 += o.bad_l4;
-    snaplen_truncated += o.snaplen_truncated;
-    non_monotonic_ts += o.non_monotonic_ts;
-    frontend_rejected += o.frontend_rejected;
-    sketch_evicted += o.sketch_evicted;
-    bad_sfu_encap += o.bad_sfu_encap;
-    bad_media_encap += o.bad_media_encap;
-    malformed_rtp += o.malformed_rtp;
-    malformed_rtcp += o.malformed_rtcp;
-    malformed_stun += o.malformed_stun;
-    unknown_payload_type += o.unknown_payload_type;
-    quarantined_flows += o.quarantined_flows;
-    quarantined_packets += o.quarantined_packets;
-    epoch_evicted_flows += o.epoch_evicted_flows;
-    epoch_evicted_meetings += o.epoch_evicted_meetings;
-    overload_shed_l1 += o.overload_shed_l1;
-    overload_shed_l2 += o.overload_shed_l2;
-    overload_shed_l3 += o.overload_shed_l3;
-    overload_shed_l4 += o.overload_shed_l4;
-    ring_wait_spins += o.ring_wait_spins;
-    source_stalls += o.source_stalls;
-    kernel_packets += o.kernel_packets;
-    kernel_drops += o.kernel_drops;
-    offload_covered_packets += o.offload_covered_packets;
-    offload_collisions += o.offload_collisions;
-    offload_evictions += o.offload_evictions;
-  }
+  /// Adds another shard's counters (kHealthFields; plain u64 sums, so
+  /// merging per-shard values in any order is bit-identical to serial
+  /// counting).
+  void merge(const AnalyzerHealth& o);
 
   /// Total packets deliberately shed by the overload ladder (all
   /// levels). Accounted degradation, not loss: excluded from
@@ -144,38 +115,178 @@ struct AnalyzerHealth {
            overload_shed_l4;
   }
 
-  /// Records that could not be (fully) analyzed: undecodable frames,
-  /// Zoom-layer parse failures, and quarantined packets. Benign
-  /// out-of-scope traffic (non-IPv4, unsupported L4, fragments) and
-  /// pure observations (snaplen, timestamps, payload types) are not
-  /// "drops" and are excluded.
-  [[nodiscard]] std::uint64_t dropped_records() const {
-    return truncated_l2 + bad_l3 + bad_l4 + bad_sfu_encap + bad_media_encap +
-           malformed_rtp + malformed_rtcp + malformed_stun + quarantined_packets;
-  }
+  /// Records that could not be (fully) analyzed: the sum of the
+  /// HealthClass::Drop rows — undecodable frames, Zoom-layer parse
+  /// failures, and quarantined packets.
+  [[nodiscard]] std::uint64_t dropped_records() const;
 
   /// True when every counter is zero — the expected state on a clean
   /// (e.g. simulator-generated, uncorrupted) trace.
   [[nodiscard]] bool all_clear() const { return *this == AnalyzerHealth{}; }
+
+  /// True when every drop and observation counter is zero: each record
+  /// was fully analyzed and nothing looked off. Accounting and gauge
+  /// rows are ignored, so the verdict is the same with the front end,
+  /// sketch tier, offload or overload ladder on or off and with or
+  /// without epoch rotation. The CLIs' "all clear" line is this.
+  [[nodiscard]] bool records_clear() const;
 };
 
-/// Applies one decode failure to `h`. Returns the health category name
+/// One AnalyzerHealth counter, as a member pointer.
+using HealthCounter = std::uint64_t AnalyzerHealth::*;
+
+/// What a health counter means for the report (kHealthFields).
+enum class HealthClass : std::uint8_t {
+  Drop,         ///< a record that could not be (fully) analyzed
+  Observation,  ///< analyzed, but out of scope or suspicious
+  Accounting,   ///< deliberate, accounted work: screening, churn, sheds
+  Gauge,        ///< timing-dependent; zeroed in durable records
+};
+
+/// One AnalyzerHealth counter: its field, its stable kebab-case name
+/// (report rows, strict violations, docs/ROBUSTNESS.md section 2), a
+/// one-line operator description and its class.
+struct HealthField {
+  HealthCounter member;
+  std::string_view name;
+  std::string_view description;
+  HealthClass cls;
+};
+
+/// Every AnalyzerHealth counter, in declaration order. Row order is the
+/// epoch/snapshot wire order (util/counter_table.h).
+inline constexpr std::array<HealthField, 31> kHealthFields{{
+    {&AnalyzerHealth::truncated_l2, "truncated-l2",
+     "frame shorter than an Ethernet header", HealthClass::Drop},
+    {&AnalyzerHealth::non_ipv4, "non-ipv4",
+     "non-IPv4 ethertype (ARP/IPv6/...; benign)", HealthClass::Observation},
+    {&AnalyzerHealth::bad_l3, "bad-l3", "truncated or inconsistent IPv4 header",
+     HealthClass::Drop},
+    {&AnalyzerHealth::ip_fragments, "ip-fragments",
+     "non-first IP fragments (no L4 header)", HealthClass::Observation},
+    {&AnalyzerHealth::unsupported_l4, "unsupported-l4",
+     "IP protocol other than UDP/TCP (benign)", HealthClass::Observation},
+    {&AnalyzerHealth::bad_l4, "bad-l4", "truncated or inconsistent UDP/TCP header",
+     HealthClass::Drop},
+    {&AnalyzerHealth::snaplen_truncated, "snaplen-truncated",
+     "captured bytes < reported wire length", HealthClass::Observation},
+    {&AnalyzerHealth::non_monotonic_ts, "non-monotonic-ts",
+     "timestamp regressed vs. previous record", HealthClass::Observation},
+    {&AnalyzerHealth::frontend_rejected, "frontend-rejected",
+     "screened out by the capture front end (never decoded)",
+     HealthClass::Accounting},
+    {&AnalyzerHealth::sketch_evicted, "sketch-evicted",
+     "sketch-tier flow churn: heavy-hitter evictions + demotions",
+     HealthClass::Accounting},
+    {&AnalyzerHealth::bad_sfu_encap, "bad-sfu-encap",
+     "server payload below the 8-byte SFU encap", HealthClass::Drop},
+    {&AnalyzerHealth::bad_media_encap, "bad-media-encap",
+     "known encap type with truncated header", HealthClass::Drop},
+    {&AnalyzerHealth::malformed_rtp, "malformed-rtp",
+     "media encap promised RTP, parse failed", HealthClass::Drop},
+    {&AnalyzerHealth::malformed_rtcp, "malformed-rtcp",
+     "RTCP encap with empty compound parse", HealthClass::Drop},
+    {&AnalyzerHealth::malformed_stun, "malformed-stun",
+     "port-3478 exchange that is not STUN", HealthClass::Drop},
+    {&AnalyzerHealth::unknown_payload_type, "unknown-payload-type",
+     "RTP payload type outside Table 3", HealthClass::Observation},
+    {&AnalyzerHealth::quarantined_flows, "quarantined-flows",
+     "flows exceeding the malformed-streak threshold", HealthClass::Observation},
+    {&AnalyzerHealth::quarantined_packets, "quarantined-packets",
+     "packets skipped on quarantined flows", HealthClass::Drop},
+    {&AnalyzerHealth::epoch_evicted_flows, "epoch-evicted-flows",
+     "flow state retired at epoch rotation (bounded memory)",
+     HealthClass::Accounting},
+    {&AnalyzerHealth::epoch_evicted_meetings, "epoch-evicted-meetings",
+     "meeting state retired at epoch rotation", HealthClass::Accounting},
+    {&AnalyzerHealth::overload_shed_l1, "overload-shed-l1",
+     "overload L1: front-end rejects dropped pre-dispatch",
+     HealthClass::Accounting},
+    {&AnalyzerHealth::overload_shed_l2, "overload-shed-l2",
+     "overload L2: non-Zoom-candidate admission sampling",
+     HealthClass::Accounting},
+    {&AnalyzerHealth::overload_shed_l3, "overload-shed-l3",
+     "overload L3: media-flow packet sampling (degraded)",
+     HealthClass::Accounting},
+    {&AnalyzerHealth::overload_shed_l4, "overload-shed-l4",
+     "overload L4: whole-batch head-drop + ring sheds", HealthClass::Accounting},
+    {&AnalyzerHealth::ring_wait_spins, "ring-wait-spins",
+     "producer spins on a full shard ring (timing-dependent)",
+     HealthClass::Gauge},
+    {&AnalyzerHealth::source_stalls, "source-stalls",
+     "watchdog-detected source stalls + reopens (timing-dependent)",
+     HealthClass::Gauge},
+    {&AnalyzerHealth::kernel_packets, "kernel-packets",
+     "packets seen at the kernel capture point (live gauge)",
+     HealthClass::Gauge},
+    {&AnalyzerHealth::kernel_drops, "kernel-drops",
+     "kernel ring drops before the daemon saw the packet", HealthClass::Gauge},
+    {&AnalyzerHealth::offload_covered_packets, "offload-covered",
+     "metric work absorbed by the data-plane offload", HealthClass::Accounting},
+    {&AnalyzerHealth::offload_collisions, "offload-collisions",
+     "offload probe/telemetry register slot overwrites",
+     HealthClass::Accounting},
+    {&AnalyzerHealth::offload_evictions, "offload-evictions",
+     "offload jitter scratch slots lost to colliding streams",
+     HealthClass::Accounting},
+}};
+
+// A counter added to AnalyzerHealth without a row fails here.
+static_assert(sizeof(AnalyzerHealth) ==
+                  kHealthFields.size() * sizeof(std::uint64_t) &&
+              util::distinct_members(kHealthFields));
+
+inline void AnalyzerHealth::merge(const AnalyzerHealth& o) {
+  util::merge_fields(*this, o, kHealthFields);
+}
+
+inline std::uint64_t AnalyzerHealth::dropped_records() const {
+  std::uint64_t sum = 0;
+  for (const auto& row : kHealthFields)
+    if (row.cls == HealthClass::Drop) sum += this->*row.member;
+  return sum;
+}
+
+inline bool AnalyzerHealth::records_clear() const {
+  for (const auto& row : kHealthFields)
+    if ((row.cls == HealthClass::Drop || row.cls == HealthClass::Observation) &&
+        this->*row.member != 0)
+      return false;
+  return true;
+}
+
+/// Zeroes the timing-dependent (HealthClass::Gauge) counters, which
+/// durable records must not carry.
+inline void zero_gauges(AnalyzerHealth& h) {
+  for (const auto& row : kHealthFields)
+    if (row.cls == HealthClass::Gauge) h.*row.member = 0;
+}
+
+/// The kebab-case name of a health counter (strict-violation reports).
+constexpr std::string_view health_name(HealthCounter member) {
+  for (const auto& row : kHealthFields)
+    if (row.member == member) return row.name;
+  return {};
+}
+
+/// Applies one decode failure to `h`. Returns the counter it bumped
 /// when the failure indicates a mangled record (strict-mode relevant),
-/// or an empty view for success and benign out-of-scope traffic. Shared
+/// or nullptr for success and benign out-of-scope traffic. Shared
 /// between the serial Analyzer and the parallel dispatcher so both
 /// attribute identically.
-inline std::string_view apply_decode_failure(AnalyzerHealth& h,
-                                             net::DecodeFailure df) {
+inline HealthCounter apply_decode_failure(AnalyzerHealth& h,
+                                          net::DecodeFailure df) {
+  using H = AnalyzerHealth;
   switch (df) {
     case net::DecodeFailure::None: break;
-    case net::DecodeFailure::TruncatedEth: ++h.truncated_l2; return "truncated-l2";
+    case net::DecodeFailure::TruncatedEth: ++h.truncated_l2; return &H::truncated_l2;
     case net::DecodeFailure::NonIpv4: ++h.non_ipv4; break;
-    case net::DecodeFailure::BadIpHeader: ++h.bad_l3; return "bad-l3";
+    case net::DecodeFailure::BadIpHeader: ++h.bad_l3; return &H::bad_l3;
     case net::DecodeFailure::IpFragment: ++h.ip_fragments; break;
     case net::DecodeFailure::UnsupportedL4: ++h.unsupported_l4; break;
-    case net::DecodeFailure::BadL4Header: ++h.bad_l4; return "bad-l4";
+    case net::DecodeFailure::BadL4Header: ++h.bad_l4; return &H::bad_l4;
   }
-  return {};
+  return nullptr;
 }
 
 /// First malformed record seen in strict mode (AnalyzerConfig::strict):

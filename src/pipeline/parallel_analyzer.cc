@@ -121,9 +121,9 @@ std::optional<net::PacketView> ParallelAnalyzer::ingest(
     // The serial offer() counts every raw packet before decoding.
     ++undecoded_packets_;
     undecoded_bytes_ += pkt.data.size();
-    std::string_view category = core::apply_decode_failure(health_, df);
-    if (!category.empty() && config_.analyzer.strict && !violation_)
-      violation_ = core::StrictViolation{category, seq + 1, pkt.ts};
+    const core::HealthCounter mangled = core::apply_decode_failure(health_, df);
+    if (mangled != nullptr && config_.analyzer.strict && !violation_)
+      violation_ = core::StrictViolation{core::health_name(mangled), seq + 1, pkt.ts};
     return std::nullopt;
   }
   return view;

@@ -383,11 +383,7 @@ void FlowTier::fold(const net::PackedFlowKey& key, std::uint64_t hash,
 
 void FlowTier::serialize(util::ByteWriter& w) const {
   w.u64be(budget_);
-  w.u64be(stats_.absorbed_packets);
-  w.u64be(stats_.absorbed_bytes);
-  w.u64be(stats_.promotions);
-  w.u64be(stats_.demotions);
-  w.u64be(stats_.evictions);
+  util::encode_fields(stats_, kTierStatsFields, w);
   cm_.serialize(w);
   heavy_.serialize(w);
 }
@@ -396,12 +392,7 @@ bool FlowTier::deserialize(util::ByteReader& r) {
   // Geometry is a pure function of the budget; a different stored
   // budget means the cells/entries cannot be placed 1:1.
   if (r.u64be() != budget_) return false;
-  stats_.absorbed_packets = r.u64be();
-  stats_.absorbed_bytes = r.u64be();
-  stats_.promotions = r.u64be();
-  stats_.demotions = r.u64be();
-  stats_.evictions = r.u64be();
-  if (!r.ok()) return false;
+  if (!util::decode_fields(r, stats_, kTierStatsFields)) return false;
   return cm_.deserialize(r) && heavy_.deserialize(r);
 }
 

@@ -29,12 +29,14 @@
 // so the merge is exact concatenation).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "net/five_tuple.h"
 #include "util/bytes.h"
+#include "util/counter_table.h"
 
 namespace zpm::sketch {
 
@@ -183,14 +185,26 @@ struct TierStats {
 
   bool operator==(const TierStats&) const = default;
 
-  void merge(const TierStats& other) {
-    absorbed_packets += other.absorbed_packets;
-    absorbed_bytes += other.absorbed_bytes;
-    promotions += other.promotions;
-    demotions += other.demotions;
-    evictions += other.evictions;
-  }
+  void merge(const TierStats& other);
 };
+
+/// Every TierStats counter, in declaration order (the wire order of the
+/// tier image and the epoch record; util/counter_table.h).
+inline constexpr std::array<util::CounterField<TierStats>, 5> kTierStatsFields{{
+    {&TierStats::absorbed_packets, "absorbed-packets"},
+    {&TierStats::absorbed_bytes, "absorbed-bytes"},
+    {&TierStats::promotions, "promotions"},
+    {&TierStats::demotions, "demotions"},
+    {&TierStats::evictions, "evictions"},
+}};
+
+// A counter added to TierStats without a row fails here.
+static_assert(sizeof(TierStats) == kTierStatsFields.size() * sizeof(std::uint64_t) &&
+              util::distinct_members(kTierStatsFields));
+
+inline void TierStats::merge(const TierStats& other) {
+  util::merge_fields(*this, other, kTierStatsFields);
+}
 
 /// One ranked heavy flow in a tier (or merged cross-shard) report.
 struct HeavyHitter {

@@ -11,16 +11,26 @@
 // spare key bits) that the encoder never emits.
 //
 // Input layout: [selector u8][payload...] — the selector routes the
-// payload to one of the three parsers, so one corpus covers all of
-// them and libFuzzer can cross-pollinate the wrapper framings.
+// payload to one of the parsers, so one corpus covers all of them and
+// libFuzzer can cross-pollinate the wrapper framings:
+//   0 -> parse_snapshot over the payload as a file image
+//   1 -> parse_epoch_file over the payload as a file image
+//   2 -> FlowTier::deserialize ([budget exponent u8][tier image])
+//   3 -> as 0, after framing the payload as a "ZPMS" image: the length
+//        and CRC-32 are computed, so mutations reach the payload
+//        decoders (the counter tables) instead of dying at the checksum
+//   4 -> as 1, framing the payload as a "ZPME" image
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
 
+#include <vector>
+
 #include "analysis/snapshot.h"
 #include "sketch/sketch.h"
 #include "util/bytes.h"
+#include "util/crc32.h"
 
 namespace {
 
@@ -73,16 +83,31 @@ void check_flow_tier(std::span<const std::uint8_t> payload) {
   if (w2.take() != image) die("tier image round trip changed the bytes");
 }
 
+/// The snapshot wrapper around `payload`: magic | version u32 |
+/// payload_len u64 | crc32(payload) | payload (analysis/snapshot.h).
+std::vector<std::uint8_t> framed(const char (&magic)[5],
+                                 std::span<const std::uint8_t> payload) {
+  zpm::util::ByteWriter w(payload.size() + 20);
+  for (int i = 0; i < 4; ++i) w.u8(static_cast<std::uint8_t>(magic[i]));
+  w.u32be(zpm::analysis::kSnapshotVersion);
+  w.u64be(payload.size());
+  w.u32be(zpm::util::crc32(payload));
+  w.bytes(payload);
+  return w.take();
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size < 1) return 0;
   const std::span<const std::uint8_t> payload(data + 1, size - 1);
-  switch (data[0] % 3) {
+  switch (data[0] % 5) {
     case 0: check_snapshot(payload); break;
     case 1: check_epoch_file(payload); break;
-    default: check_flow_tier(payload); break;
+    case 2: check_flow_tier(payload); break;
+    case 3: check_snapshot(framed("ZPMS", payload)); break;
+    default: check_epoch_file(framed("ZPME", payload)); break;
   }
   return 0;
 }

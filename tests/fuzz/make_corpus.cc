@@ -6,8 +6,10 @@
 // formats from scratch.
 //
 // Usage: make_fuzz_corpus [output_root]
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -355,10 +357,12 @@ int main(int argc, char** argv) {
     write_seed(root / "fuzz_sketch", "promote_demote.bin", churn);
   }
 
-  // fuzz_snapshot: [selector u8][file image] — selector % 3 routes to
-  // the snapshot, epoch-file, or FlowTier-image parser. Seeds are
-  // well-formed images of each so the fuzzer starts past the CRC and
-  // only has to mutate its way into the framing and payload decoders.
+  // fuzz_snapshot: [selector u8][file image] — selector % 5 routes to
+  // the snapshot, epoch-file, or FlowTier-image parser, or (3, 4) to
+  // the snapshot / epoch-file parser after the target frames a bare
+  // payload. Seeds are well-formed images of each so the fuzzer starts
+  // past the CRC and only has to mutate its way into the framing and
+  // payload decoders.
   {
     analysis::EpochReport rep;
     rep.seq = 2;
@@ -422,6 +426,42 @@ int main(int argc, char** argv) {
     seed.push_back(14);  // budget exponent matching the tier above
     seed.insert(seed.end(), tw.data().begin(), tw.data().end());
     write_seed(root / "fuzz_snapshot", "tier.bin", seed);
+
+    // Payload-only seeds: every counter of the four field-table structs
+    // (AnalyzerCounters' scalars, AnalyzerHealth, TierStats and the
+    // OffloadReport scalars) holds a distinct value, stored in
+    // declaration order without the tables, so a reordered table row
+    // decodes them into the wrong fields (tests/test_crc32.cc WireOrder).
+    analysis::EpochReport dense = rep;
+    std::uint64_t next = 1;
+    const auto fill = [&next](void* first, std::size_t bytes) {
+      for (std::size_t at = 0; at < bytes; at += sizeof next, ++next)
+        std::memcpy(static_cast<std::uint8_t*>(first) + at, &next, sizeof next);
+    };
+    fill(&dense.counters, offsetof(core::AnalyzerCounters, encap_tally));
+    fill(&dense.health, sizeof dense.health);
+    fill(&dense.tier_stats, sizeof dense.tier_stats);
+    fill(&dense.offload.covered_packets,
+         sizeof dense.offload - offsetof(capture::OffloadReport, covered_packets));
+    dense.offload.jitter.add(900);
+    dense.offload.rtt.add(18'000);
+    analysis::SnapshotData dense_snap = snap;
+    dense_snap.cumulative_counters = dense.counters;
+    dense_snap.cumulative_health = dense.health;
+    dense_snap.recent_epochs = {dense};
+
+    constexpr std::size_t kFrameHeader = 20;  // magic, version, len, crc
+    seed.assign(1, 3);  // selector: framed snapshot payload
+    const auto dense_snap_bytes = analysis::encode_snapshot(dense_snap);
+    seed.insert(seed.end(), dense_snap_bytes.begin() + kFrameHeader,
+                dense_snap_bytes.end());
+    write_seed(root / "fuzz_snapshot", "snapshot_payload.bin", seed);
+
+    seed.assign(1, 4);  // selector: framed epoch-file payload
+    const auto dense_epoch_bytes = analysis::encode_epoch_file(dense);
+    seed.insert(seed.end(), dense_epoch_bytes.begin() + kFrameHeader,
+                dense_epoch_bytes.end());
+    write_seed(root / "fuzz_snapshot", "epoch_payload.bin", seed);
   }
 
   // fuzz_overload: [selector u8] routes even -> governor observation

@@ -3,17 +3,21 @@
 // on-disk pin — images committed before the fast kernels existed (the
 // fuzz seeds) must still validate, so a kernel that agrees with itself
 // but not with the polynomial cannot pass by round-tripping its own
-// bytes.
+// bytes. The same seeds pin the wire order of the counter field tables.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/snapshot.h"
+#include "capture/offload.h"
 #include "query/query.h"
+#include "sketch/sketch.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 
@@ -153,6 +157,123 @@ TEST(Crc32Compat, CommittedSnapshotAndEpochFileLoad) {
   analysis::EpochReport report;
   EXPECT_TRUE(analysis::parse_epoch_file(epoch, report));
   EXPECT_EQ(report.seq, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Wire order: the committed seeds re-encode to their own bytes, and the
+// payload seeds — written with a distinct value in every counter of the
+// four field-table structs, in declaration order — decode to those
+// values in those fields. Re-encoding alone cannot catch a reordered
+// table row (decode and encode would permute alike); the field values
+// do.
+
+/// The snapshot wrapper (analysis/snapshot.h) around a bare payload.
+std::vector<std::uint8_t> framed(std::string_view magic,
+                                 std::span<const std::uint8_t> payload) {
+  ByteWriter w;
+  w.bytes(as_bytes(magic));
+  w.u32be(analysis::kSnapshotVersion);
+  w.u64be(payload.size());
+  w.u32be(crc32(payload));
+  w.bytes(payload);
+  return w.take();
+}
+
+/// The u64 counters in `bytes` bytes from `first`, in declaration order.
+std::vector<std::uint64_t> counter_words(const void* first, std::size_t bytes) {
+  std::vector<std::uint64_t> out(bytes / sizeof(std::uint64_t));
+  std::memcpy(out.data(), first, out.size() * sizeof(std::uint64_t));
+  return out;
+}
+
+std::vector<std::uint64_t> numbered(std::uint64_t first, std::size_t count) {
+  std::vector<std::uint64_t> out(count);
+  for (auto& v : out) v = first++;
+  return out;
+}
+
+/// The values make_fuzz_corpus stores in the payload seeds' counters.
+void expect_numbered_counters(const core::AnalyzerCounters& c,
+                              const core::AnalyzerHealth& h) {
+  EXPECT_EQ(counter_words(&c, offsetof(core::AnalyzerCounters, encap_tally)),
+            numbered(1, 13));
+  EXPECT_EQ(counter_words(&h, sizeof h), numbered(14, 31));
+}
+
+void expect_numbered_report(const analysis::EpochReport& r) {
+  expect_numbered_counters(r.counters, r.health);
+  EXPECT_EQ(counter_words(&r.tier_stats, sizeof r.tier_stats), numbered(45, 5));
+  EXPECT_EQ(counter_words(&r.offload.covered_packets,
+                          sizeof r.offload -
+                              offsetof(capture::OffloadReport, covered_packets)),
+            numbered(50, 5));
+}
+
+void expect_snapshot_reencodes(const std::vector<std::uint8_t>& image,
+                               bool numbered_counters) {
+  analysis::SnapshotData data;
+  ASSERT_TRUE(analysis::parse_snapshot(image, data));
+  EXPECT_EQ(analysis::encode_snapshot(data), image);
+  if (!numbered_counters) return;
+  expect_numbered_counters(data.cumulative_counters, data.cumulative_health);
+  ASSERT_EQ(data.recent_epochs.size(), 1u);
+  expect_numbered_report(data.recent_epochs.front());
+}
+
+void expect_epoch_file_reencodes(const std::vector<std::uint8_t>& image,
+                                 bool numbered_counters) {
+  analysis::EpochReport report;
+  ASSERT_TRUE(analysis::parse_epoch_file(image, report));
+  EXPECT_EQ(analysis::encode_epoch_file(report), image);
+  if (numbered_counters) expect_numbered_report(report);
+}
+
+TEST(WireOrder, CommittedSnapshotReencodesByteForByte) {
+  expect_snapshot_reencodes(corpus_image("fuzz_snapshot/snapshot.bin"), false);
+  expect_snapshot_reencodes(
+      framed("ZPMS", corpus_image("fuzz_snapshot/snapshot_payload.bin")), true);
+}
+
+TEST(WireOrder, CommittedEpochFileReencodesByteForByte) {
+  expect_epoch_file_reencodes(corpus_image("fuzz_snapshot/epoch.bin"), false);
+  expect_epoch_file_reencodes(
+      framed("ZPME", corpus_image("fuzz_snapshot/epoch_payload.bin")), true);
+}
+
+TEST(WireOrder, CommittedTierImageReencodesByteForByte) {
+  auto image = corpus_image("fuzz_snapshot/tier.bin");
+  ASSERT_FALSE(image.empty());
+  const std::size_t budget = std::size_t{1} << image.front();  // exponent
+  image.erase(image.begin());
+  sketch::FlowTier tier(budget);
+  ByteReader r(image);
+  ASSERT_TRUE(tier.deserialize(r));
+  EXPECT_EQ(r.remaining(), 0u);
+  ByteWriter w;
+  tier.serialize(w);
+  EXPECT_EQ(w.take(), image);
+}
+
+TEST(WireOrder, CommittedOffloadReportReencodesByteForByte) {
+  const auto image = corpus_image("fuzz_offload/report.bin");
+  ByteReader r(image);
+  const auto report = capture::decode_offload_report(r);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(r.remaining(), 0u);
+  ByteWriter w;
+  capture::encode_offload_report(*report, w);
+  EXPECT_EQ(w.take(), image);
+}
+
+TEST(WireOrder, CommittedSliceReencodesByteForByte) {
+  const auto image = corpus_image("fuzz_query/slice.bin");
+  ByteReader r(image);
+  query::EpochSlice slice;
+  ASSERT_TRUE(query::decode_epoch_slice(r, slice));
+  EXPECT_EQ(r.remaining(), 0u);
+  ByteWriter w;
+  query::encode_epoch_slice(slice, w);
+  EXPECT_EQ(w.take(), image);
 }
 
 }  // namespace

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/campus_run.h"
 #include "analysis/daemon.h"
 
 namespace zpm::analysis {
@@ -308,6 +311,47 @@ TEST(Options, FrozenInventory) {
   EXPECT_EQ(keys.size(), 11u);
   EXPECT_EQ(keys_of(daemon_options(cfg)), keys);
   EXPECT_EQ(keys_of(daemon_options(cfg, &source)), keys);
+}
+
+/// default_campus_config() with one environment variable set (or
+/// cleared), restoring whatever the process had before.
+CampusRunConfig campus_config_with(const char* name, const char* value) {
+  const char* before = std::getenv(name);
+  const std::optional<std::string> saved =
+      before ? std::optional<std::string>(before) : std::nullopt;
+  if (value != nullptr) setenv(name, value, 1);
+  else unsetenv(name);
+  const CampusRunConfig config = default_campus_config();
+  if (saved) setenv(name, saved->c_str(), 1);
+  else unsetenv(name);
+  return config;
+}
+
+TEST(Options, CampusEnvironmentParsedStrictly) {
+  const auto hours = [](const char* value) {
+    return campus_config_with("ZPM_CAMPUS_HOURS", value).campus.duration;
+  };
+  const util::Duration day = hours(nullptr);
+  EXPECT_EQ(day, util::Duration::seconds(12 * 3600.0));
+  EXPECT_EQ(hours("0.5"), util::Duration::seconds(1800.0));
+  for (const char* bad : {"abc", "-1", "0", "2h", "", "inf", "nan", "1e300"})
+    EXPECT_EQ(hours(bad), day) << "ZPM_CAMPUS_HOURS=" << bad;
+
+  const auto threads = [](const char* value) {
+    return campus_config_with("ZPM_ANALYSIS_THREADS", value).analysis_threads;
+  };
+  const std::size_t serial = threads(nullptr);
+  EXPECT_EQ(threads("3"), 3u);
+  for (const char* bad : {"4x", "-2", "0", " 4", "four"})
+    EXPECT_EQ(threads(bad), serial) << "ZPM_ANALYSIS_THREADS=" << bad;
+
+  const auto meetings = [](const char* value) {
+    return campus_config_with("ZPM_CAMPUS_SCALE", value)
+        .campus.meetings_per_peak_hour;
+  };
+  EXPECT_DOUBLE_EQ(meetings("2"), 2 * meetings(nullptr));
+  EXPECT_DOUBLE_EQ(meetings("x2"), meetings(nullptr));
+  EXPECT_DOUBLE_EQ(meetings("-1"), meetings(nullptr));
 }
 
 }  // namespace
