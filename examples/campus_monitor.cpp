@@ -23,12 +23,13 @@
 // Exit codes: 0 ok, 1 bad input/fatal source error, 2 usage,
 // 4 interrupted (SIGINT drain in the non-daemon modes: the partial
 // capture is still analyzed and the report flushed before exiting).
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "analysis/daemon.h"
@@ -64,7 +65,7 @@ void print_summary(const core::AnalyzerCounters& c, const core::AnalyzerHealth& 
   // Accounting rows (front-end screening, sketch churn, offload
   // coverage, overload sheds, epoch retirement) are not loss: the
   // summary line stays identical with those features on or off
-  // (--frontend-stats and --sketch-stats report the details).
+  // (--stats reports the details).
   if (h.records_clear()) {
     std::printf("analyzer health: all clear\n");
   } else {
@@ -82,10 +83,10 @@ void print_summary(const core::AnalyzerCounters& c, const core::AnalyzerHealth& 
 int monitor_pcap(int argc, char** argv) {
   analysis::FileRunSettings opts;
   const auto table = analysis::file_run_options(opts, analysis::kPcap);
+  const char* synopsis = "campus_monitor --pcap <capture.pcap[ng]> [options]";
+  if (argc < 3) return analysis::usage_error(table, "", synopsis);
   const auto args = analysis::parse_args(table, {argv + 3, argv + argc});
-  if (!args.error.empty())
-    return analysis::usage_error(table, args.error,
-                                 "campus_monitor --pcap <capture.pcap[ng]> [options]");
+  if (!args.error.empty()) return analysis::usage_error(table, args.error, synopsis);
   const char* path = argv[2];
   net::TraceSource source(path);
   if (!source.ok()) {
@@ -122,36 +123,8 @@ int monitor_pcap(int argc, char** argv) {
   const auto rep = engine.finish().value_or(analysis::EpochReport{});
   print_summary(rep.counters, rep.health, rep.meeting_count, rep.stream_count,
                 source.packets_read());
-  const auto* filter = engine.frontend();
-  if (opts.frontend_stats && filter) {
-    std::printf("capture front end (%s probe, %zu flows, %zu candidates):\n",
-                filter->simd_active() ? "SWAR/SSE2" : "scalar",
-                filter->flow_count(), filter->candidate_endpoint_count());
-    for (const auto& row : analysis::frontend_rows(filter->stats()))
-      std::printf("  %-24s %12s  %.*s\n", std::string(row.category).c_str(),
-                  util::with_commas(row.count).c_str(),
-                  static_cast<int>(row.description.size()), row.description.data());
-  }
-  if (opts.sketch_stats) {
-    if (!filter || !filter->sketch_enabled()) {
-      std::printf("sketch flow tier not active (%s)\n",
-                  filter ? "--no-sketch" : "--no-frontend");
-    } else {
-      const auto report = filter->sketch_report(5);
-      const auto& ts = report.stats;
-      std::printf("sketch flow tier (%s budget): %s background packets (%s), "
-                  "%llu promotions, %llu evictions\n",
-                  util::human_bytes(cfg.flow_memory_budget).c_str(),
-                  util::with_commas(ts.absorbed_packets).c_str(),
-                  util::human_bytes(ts.absorbed_bytes).c_str(),
-                  static_cast<unsigned long long>(ts.promotions),
-                  static_cast<unsigned long long>(ts.evictions));
-      for (const auto& h : report.heavy_hitters)
-        std::printf("  %-44s %10s %10s pkts\n", h.flow.to_string().c_str(),
-                    util::human_bytes(h.bytes).c_str(),
-                    util::with_commas(h.packets).c_str());
-    }
-  }
+  if (opts.stats)
+    std::printf("\n%s", analysis::render_stats(engine.frontend()).c_str());
   return g_interrupted ? 4 : 0;
 }
 
@@ -326,10 +299,20 @@ int main(int argc, char** argv) {
   if (argc > 1 && !std::strcmp(argv[1], "--daemon"))
     return run_daemon(argc, argv);
 
-  if (argc > 2 && !std::strcmp(argv[1], "--pcap")) return monitor_pcap(argc, argv);
+  if (argc > 1 && !std::strcmp(argv[1], "--pcap")) return monitor_pcap(argc, argv);
 
-  double hours = argc > 1 ? std::atof(argv[1]) : 1.0;
-  double meetings = argc > 2 ? std::atof(argv[2]) : 6.0;
+  // The simulated day: [hours] [meetings_per_peak_hour], both optional.
+  double hours = 1.0;
+  double meetings = 6.0;
+  const char* synopsis = "campus_monitor [hours] [meetings_per_peak_hour]";
+  if (argc > 3)
+    return analysis::usage_error(
+        {}, "unexpected argument " + std::string(argv[3]), synopsis);
+  if (argc > 1 && !(analysis::parse_whole(argv[1], hours) && std::isfinite(hours)))
+    return analysis::usage_error({}, "hours wants a number", synopsis);
+  if (argc > 2 && !(analysis::parse_whole(argv[2], meetings) && std::isfinite(meetings)))
+    return analysis::usage_error({}, "meetings_per_peak_hour wants a number",
+                                 synopsis);
 
   sim::CampusConfig campus_cfg;
   campus_cfg.seed = 42;

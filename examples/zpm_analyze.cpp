@@ -235,31 +235,6 @@ void print_report(const analysis::EpochReport& rep, StreamList streams,
   }
 }
 
-/// One bucket's range label: power-of-two boundaries in µs, promoted to
-/// ms for readability above 1000 µs.
-std::string offload_bucket_label(std::size_t b) {
-  auto human_us = [](std::uint64_t us) {
-    if (us >= 1000) return util::fixed(static_cast<double>(us) / 1000.0, 0) + "ms";
-    return std::to_string(us) + "us";
-  };
-  const std::uint64_t lo = b == 0 ? 0 : std::uint64_t{1} << b;
-  if (b + 1 >= capture::kOffloadBuckets) return ">=" + human_us(lo);
-  return human_us(lo) + "-" + human_us(std::uint64_t{1} << (b + 1));
-}
-
-/// Side-by-side histogram table for the two offload register groups.
-void print_offload_histograms(const capture::OffloadReport& rep) {
-  util::TextTable t;
-  t.header({"Bucket", "Jitter dev", "RTT"},
-           {util::Align::Left, util::Align::Right, util::Align::Right});
-  for (std::size_t b = 0; b < capture::kOffloadBuckets; ++b) {
-    if (rep.jitter.buckets[b] == 0 && rep.rtt.buckets[b] == 0) continue;
-    t.row({offload_bucket_label(b), util::with_commas(rep.jitter.buckets[b]),
-           util::with_commas(rep.rtt.buckets[b])});
-  }
-  std::printf("%s", t.render().c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -273,15 +248,11 @@ int main(int argc, char** argv) {
   const bool corrupt = args.given.contains("--corrupt");
 
   analysis::EpochEngineConfig& engine_cfg = opts.engine;
-  if (args.given.contains("--anon-key")) {
-    // The capture's addresses were rewritten prefix-preservingly; map
-    // our subnet knowledge through the same function.
-    capture::PrefixPreservingAnonymizer anon(opts.anon_key);
-    std::vector<net::Ipv4Subnet> mapped;
-    for (const auto& subnet : engine_cfg.analyzer.server_db.subnets())
-      mapped.emplace_back(anon.anonymize(subnet.base()), subnet.prefix_len());
-    engine_cfg.analyzer.server_db = zoom::ServerDb(mapped);
-  }
+  // The capture's addresses were rewritten prefix-preservingly; map
+  // our subnet knowledge through the same function.
+  if (args.given.contains("--anon-key"))
+    engine_cfg.analyzer.server_db =
+        capture::anonymize_server_db(engine_cfg.analyzer.server_db, opts.anon_key);
   engine_cfg.limits = {0, util::Duration::micros(0)};  // one window: the whole input
   if (!opts.sketch) engine_cfg.flow_memory_budget = 0;
   // A file replay has no live pressure signal: without a schedule the
@@ -410,78 +381,8 @@ int main(int argc, char** argv) {
   const auto streams = engine.streams();
   print_report(rep, streams, engine.meetings());
 
-  const auto* filter = engine.frontend();
-  if (opts.frontend_stats) {
-    std::printf("\n== capture front end ===========================================\n");
-    if (!filter) {
-      std::printf("front end not active on this path (--no-frontend)\n");
-    } else {
-      util::TextTable fe;
-      fe.header({"Counter", "Packets", "Description"},
-                {util::Align::Left, util::Align::Right, util::Align::Left});
-      for (const auto& row : analysis::frontend_rows(filter->stats()))
-        fe.row({std::string(row.category), util::with_commas(row.count),
-                std::string(row.description)});
-      std::printf("%s", fe.render().c_str());
-      std::printf("%zu admitted flows, %zu armed candidate endpoints, %s probe\n",
-                  filter->flow_count(), filter->candidate_endpoint_count(),
-                  filter->simd_active() ? "SWAR/SSE2" : "scalar");
-    }
-  }
-
-  if (opts.sketch_stats) {
-    std::printf("\n== sketch flow tier ============================================\n");
-    if (!filter || !filter->sketch_enabled()) {
-      std::printf("sketch tier not active (%s)\n",
-                  !opts.sketch ? "--no-sketch" : "front end not on this path");
-    } else {
-      const auto report = filter->sketch_report(10);
-      const auto& ts = report.stats;
-      std::printf("budget %s | absorbed %s background packets (%s)\n",
-                  util::human_bytes(engine_cfg.flow_memory_budget).c_str(),
-                  util::with_commas(ts.absorbed_packets).c_str(),
-                  util::human_bytes(ts.absorbed_bytes).c_str());
-      std::printf("promotions %s | demotions %s | evictions %s\n",
-                  util::with_commas(ts.promotions).c_str(),
-                  util::with_commas(ts.demotions).c_str(),
-                  util::with_commas(ts.evictions).c_str());
-      if (filter->stats().promoted_packets > 0)
-        std::printf("promoted flows carried %s pre-admission packets (%s)\n",
-                    util::with_commas(filter->stats().promoted_packets).c_str(),
-                    util::human_bytes(filter->stats().promoted_bytes).c_str());
-      if (!report.heavy_hitters.empty()) {
-        util::TextTable hh;
-        hh.header({"Background flow", "Bytes", "Packets", "Err bytes"},
-                  {util::Align::Left, util::Align::Right, util::Align::Right,
-                   util::Align::Right});
-        for (const auto& h : report.heavy_hitters)
-          hh.row({h.flow.to_string(), util::human_bytes(h.bytes),
-                  util::with_commas(h.packets), util::with_commas(h.error_bytes)});
-        std::printf("%s", hh.render().c_str());
-      }
-    }
-  }
-
-  if (opts.offload_stats) {
-    std::printf("\n== data-plane metric offload ===================================\n");
-    if (!filter || !filter->offload_enabled()) {
-      std::printf("offload not active (%s)\n",
-                  filter ? "pass --dataplane-offload to enable"
-                     : "front end not on this path");
-    } else {
-      const auto orep = filter->offload_report();
-      std::printf("covered %s media packets | probe arms %s | rtt samples %s\n",
-                  util::with_commas(orep.covered_packets).c_str(),
-                  util::with_commas(orep.probe_arms).c_str(),
-                  util::with_commas(orep.rtt.samples).c_str());
-      std::printf("jitter samples %s | collisions %s | scratch evictions %s\n",
-                  util::with_commas(orep.jitter.samples).c_str(),
-                  util::with_commas(orep.collisions()).c_str(),
-                  util::with_commas(orep.flow_evictions).c_str());
-      if (orep.jitter.samples > 0 || orep.rtt.samples > 0)
-        print_offload_histograms(orep);
-    }
-  }
+  if (opts.stats)
+    std::printf("\n%s", analysis::render_stats(engine.frontend()).c_str());
 
   if (!opts.csv_prefix.empty())
     export_csvs(streams, engine.meetings(), opts.csv_prefix);

@@ -6,14 +6,15 @@
 // any analysis ("takes all campus packets as input and only allows Zoom
 // packets to pass through to tcpdump").
 //
-// Usage: zpm_pcap_filter <in.pcap[ng]> <out.pcap>
-//            [--campus <cidr>]... [--no-anonymize] [--key <hex>]
-//        zpm_pcap_filter --demo <out.pcap>
+// Usage: zpm_pcap_filter <in.pcap[ng]> <out.pcap> [options]
+//        zpm_pcap_filter --demo <out.pcap> [options]
+//
+// The options are the kFilter rows of the option table in
+// src/analysis/options.h; a usage error prints their usage text.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "analysis/options.h"
 #include "capture/filter.h"
 #include "net/pcapng.h"
 #include "sim/campus.h"
@@ -22,34 +23,15 @@
 using namespace zpm;
 
 int main(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s <in.pcap[ng]>|--demo <out.pcap>\n"
-                 "          [--campus <cidr>]... [--no-anonymize] [--key <hex>]\n",
-                 argv[0]);
-    return 2;
-  }
-  std::string input = argv[1];
-  std::string output = argv[2];
-
   capture::CaptureConfig cfg;
-  for (int i = 3; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--campus") && i + 1 < argc) {
-      auto subnet = net::Ipv4Subnet::parse(argv[++i]);
-      if (!subnet) {
-        std::fprintf(stderr, "bad subnet: %s\n", argv[i]);
-        return 2;
-      }
-      cfg.campus_subnets.push_back(*subnet);
-    } else if (!std::strcmp(argv[i], "--no-anonymize")) {
-      cfg.anonymize = false;
-    } else if (!std::strcmp(argv[i], "--key") && i + 1 < argc) {
-      cfg.anonymization_key = std::strtoull(argv[++i], nullptr, 16);
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", argv[i]);
-      return 2;
-    }
-  }
+  const auto table = analysis::pcap_filter_options(cfg);
+  const char* synopsis = "zpm_pcap_filter <in.pcap[ng]>|--demo <out.pcap> [options]";
+  if (argc < 3) return analysis::usage_error(table, "", synopsis);
+  const auto args = analysis::parse_args(table, {argv + 3, argv + argc});
+  if (!args.error.empty()) return analysis::usage_error(table, args.error, synopsis);
+  const std::string input = argv[1];
+  const std::string output = argv[2];
+
   if (cfg.campus_subnets.empty())
     cfg.campus_subnets.push_back(net::Ipv4Subnet(net::Ipv4Addr(10, 0, 0, 0), 8));
 

@@ -7,15 +7,13 @@
 // Usage: zpm_query --dir <report-dir> [query flags]      (MANIFEST mode)
 //        zpm_query <journal.zpmj>... [query flags]       (explicit files)
 //
-// Query flags:
-//   --from <us>       window start, µs since epoch (default: everything)
-//   --to <us>         window end, inclusive
-//   --metric rtt|jitter|bitrate|sfu-rtt   (default rtt)
-//   --group all|meeting|site              (default all)
-//   --meeting <key>   restrict to one stable meeting key
-//   --query "<spec>"  full request in canonical text form
-//                     (from=..;to=..;metric=..;group=..[;meeting=..])
-//   --stats           per-journal index/scan accounting on stderr
+// The flags are the kQuery rows of the option table in
+// src/analysis/options.h; a usage error prints their usage text. The
+// key flags (--from, --to, --metric, --group, --meeting) and the fields
+// of a --query spec apply in command-line order, so the last setting of
+// a field wins: `--query "metric=jitter;from=5" --from 9` asks from 9,
+// and a key flag given before --query keeps its value unless the spec
+// names that field too.
 //
 // The window selects whole epochs by span overlap — the epoch is the
 // aggregation quantum. Journals are mmap'd and their footer indexes
@@ -27,103 +25,34 @@
 //
 // Exit codes: 0 ok, 1 no readable input, 2 usage.
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <string>
-#include <vector>
 
+#include "analysis/options.h"
 #include "query/query.h"
-
-namespace {
 
 using namespace zpm;
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: zpm_query (--dir <report-dir> | <journal.zpmj>...)\n"
-               "                 [--from <us>] [--to <us>]\n"
-               "                 [--metric rtt|jitter|bitrate|sfu-rtt]\n"
-               "                 [--group all|meeting|site]\n"
-               "                 [--meeting <key>] [--query \"<spec>\"]\n"
-               "                 [--stats]\n");
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::string dir;
-  std::vector<std::string> paths;
-  query::QueryRequest request;
-  bool show_stats = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const auto want_value = [&](const char* flag) {
-      if (i + 1 < argc) return true;
-      std::fprintf(stderr, "%s wants a value\n", flag);
-      return false;
-    };
-    if (!std::strcmp(argv[i], "--dir")) {
-      if (!want_value("--dir")) return 2;
-      dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--from")) {
-      if (!want_value("--from")) return 2;
-      request.from_us = std::strtoll(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--to")) {
-      if (!want_value("--to")) return 2;
-      request.to_us = std::strtoll(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--metric")) {
-      if (!want_value("--metric")) return 2;
-      const std::string v = argv[++i];
-      if (v == "rtt") request.metric = query::QueryMetric::Rtt;
-      else if (v == "jitter") request.metric = query::QueryMetric::Jitter;
-      else if (v == "bitrate") request.metric = query::QueryMetric::Bitrate;
-      else if (v == "sfu-rtt") request.metric = query::QueryMetric::SfuRtt;
-      else return usage();
-    } else if (!std::strcmp(argv[i], "--group")) {
-      if (!want_value("--group")) return 2;
-      const std::string v = argv[++i];
-      if (v == "all") request.group = query::QueryGroupBy::All;
-      else if (v == "meeting") request.group = query::QueryGroupBy::Meeting;
-      else if (v == "site") request.group = query::QueryGroupBy::Site;
-      else return usage();
-    } else if (!std::strcmp(argv[i], "--meeting")) {
-      if (!want_value("--meeting")) return 2;
-      request.meeting_key = std::strtoull(argv[++i], nullptr, 10);
-      request.has_meeting = true;
-    } else if (!std::strcmp(argv[i], "--query")) {
-      if (!want_value("--query")) return 2;
-      if (!query::parse_query_request(argv[++i], request)) {
-        std::fprintf(stderr, "bad --query spec (canonical form: %s)\n",
-                     query::format_query_request(query::QueryRequest{}).c_str());
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--stats")) {
-      show_stats = true;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown option %s\n", argv[i]);
-      return usage();
-    } else {
-      paths.emplace_back(argv[i]);
-    }
-  }
-  if (dir.empty() == paths.empty()) return usage();
+  analysis::QuerySettings opts;
+  const auto table = analysis::query_options(opts);
+  const char* synopsis = "zpm_query (--dir <report-dir> | <journal.zpmj>...) [options]";
+  const auto args = analysis::parse_args(table, {argv + 1, argv + argc}, true);
+  if (!args.error.empty()) return analysis::usage_error(table, args.error, synopsis);
+  if (opts.dir.empty() == args.positionals.empty())
+    return analysis::usage_error(table, "", synopsis);
+  const query::QueryRequest& request = opts.request;
   if (request.from_us > request.to_us) {
     std::fprintf(stderr, "empty window: --from is after --to\n");
     return 2;
   }
 
-  query::QueryResult result;
+  query::JournalSet journals;
   std::string error;
-  if (!dir.empty()) {
+  if (!opts.dir.empty()) {
     query::Manifest manifest;
-    if (!query::load_manifest(dir, manifest, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
     std::size_t skipped = 0;
-    if (!query::run_query_on_manifest(request, manifest, dir, result, &skipped,
-                                      &error)) {
+    if (!query::load_manifest(opts.dir, manifest, &error) ||
+        !journals.open_manifest(request, manifest, opts.dir, &skipped, &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
@@ -131,50 +60,22 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "warning: %zu unreadable journal(s) skipped\n",
                    skipped);
   } else {
-    std::vector<std::unique_ptr<query::JournalReader>> owned;
-    std::vector<query::JournalReader*> readers;
-    std::vector<std::uint32_t> site_of;
-    std::vector<std::string> site_names;
-    for (const auto& path : paths) {
-      auto reader = std::make_unique<query::JournalReader>();
-      if (!reader->open(path, &error)) {
-        std::fprintf(stderr, "warning: %s: %s\n", path.c_str(), error.c_str());
-        continue;
-      }
-      if (show_stats) {
-        const auto& stats = reader->scan_stats();
-        std::fprintf(stderr,
-                     "%s: site=%s shards=%u records=%zu %s corrupt=%llu "
-                     "skipped_bytes=%llu\n",
-                     path.c_str(), reader->site().c_str(),
-                     reader->shard_count(), reader->records().size(),
-                     stats.used_index ? "indexed" : "scanned",
-                     static_cast<unsigned long long>(stats.corrupt_records),
-                     static_cast<unsigned long long>(stats.skipped_bytes));
-      }
-      std::uint32_t site_idx = 0;
-      for (; site_idx < site_names.size(); ++site_idx)
-        if (site_names[site_idx] == reader->site()) break;
-      if (site_idx == site_names.size()) site_names.push_back(reader->site());
-      site_of.push_back(site_idx);
-      readers.push_back(reader.get());
-      owned.push_back(std::move(reader));
-    }
-    if (readers.empty()) {
+    for (const auto path : args.positionals)
+      if (!journals.open(std::string(path), "", &error))
+        std::fprintf(stderr, "warning: %.*s: %s\n", static_cast<int>(path.size()),
+                     path.data(), error.c_str());
+    if (journals.empty()) {
       std::fprintf(stderr, "error: no readable journals\n");
       return 1;
     }
-    if (!query::run_query(request, readers, site_of, site_names, result,
-                          &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    // Match manifest mode: scan-time corruption is accounted in the
-    // result, never silently dropped.
-    for (const auto& r : owned)
-      result.records_corrupt += r->scan_stats().corrupt_records;
   }
+  if (opts.stats) std::fputs(journals.render_stats().c_str(), stderr);
 
+  query::QueryResult result;
+  if (!journals.query(request, result, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
+  }
   std::fputs(query::render_query_result(result).c_str(), stdout);
   return 0;
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Daemon soak smoke: builds nothing itself — expects an existing build
 # directory (default ./build, override with $1) containing
-# examples/campus_monitor.
+# examples/campus_monitor and examples/zpm_query.
 #
 # Runs the continuous-operation daemon for ~30 s on an endlessly looped
 # replay of a simulated campus trace (paced so epochs rotate on packet
@@ -12,15 +12,21 @@
 #     framing: non-empty, "ZPME" magic),
 #   * the SIGHUP reload was acknowledged,
 #   * the final health line reports zero dropped records,
-#   * a snapshot exists and no write/source errors were logged.
+#   * a snapshot exists and no write/source errors were logged,
+#   * zpm_query --dir --stats over the drained report directory exits 0,
+#     counts one epoch per epoch file, finds no corrupt record and
+#     reads the sealed journal segment through its index.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 MONITOR="$BUILD_DIR/examples/campus_monitor"
-if [[ ! -x "$MONITOR" ]]; then
-  echo "error: $MONITOR not built" >&2
-  exit 2
-fi
+QUERY="$BUILD_DIR/examples/zpm_query"
+for bin in "$MONITOR" "$QUERY"; do
+  if [[ ! -x "$bin" ]]; then
+    echo "error: $bin not built" >&2
+    exit 2
+  fi
+done
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -78,4 +84,19 @@ grep -q "graceful shutdown" "$WORK/daemon.log" \
 ! grep -qE "write failed|source error|cannot read config" "$WORK/daemon.log" \
   || fail "daemon logged I/O or source errors"
 
-echo "SOAK OK: $EPOCHS epochs, clean reload, clean drain"
+echo "=== zpm_query --dir --stats ==="
+QEXIT=0
+"$QUERY" --dir "$WORK/reports" --stats > "$WORK/query.out" \
+  2> "$WORK/query.err" || QEXIT=$?
+cat "$WORK/query.err" "$WORK/query.out"
+[[ "$QEXIT" -eq 0 ]] || fail "zpm_query exited $QEXIT, expected 0"
+grep -q "^epochs=$EPOCHS " "$WORK/query.out" \
+  || fail "zpm_query did not count $EPOCHS epochs"
+grep -q " corrupt=0\$" "$WORK/query.out" \
+  || fail "zpm_query found corrupt records"
+[[ "$(wc -l < "$WORK/query.err")" -eq 1 ]] \
+  || fail "expected one journal segment in the --stats accounting"
+grep -q " indexed corrupt=0 skipped_bytes=0\$" "$WORK/query.err" \
+  || fail "the sealed journal segment was not read through its index"
+
+echo "SOAK OK: $EPOCHS epochs, clean reload, clean drain, clean query"

@@ -13,18 +13,6 @@ namespace zpm::analysis {
 
 namespace {
 
-/// Anonymizes a subnet list with the same key the filter uses, so the
-/// analyzer can keep matching after anonymization (prefix-preserving).
-std::vector<net::Ipv4Subnet> anonymize_subnets(
-    const capture::PrefixPreservingAnonymizer& anon,
-    const std::vector<net::Ipv4Subnet>& subnets) {
-  std::vector<net::Ipv4Subnet> out;
-  out.reserve(subnets.size());
-  for (const auto& s : subnets)
-    out.emplace_back(anon.anonymize(s.base()), s.prefix_len());
-  return out;
-}
-
 /// Folds per-stream metrics into the result.
 void extract_streams(std::span<const core::StreamInfo* const> streams,
                      util::Duration rate_bin, CampusRunResult& result) {
@@ -97,11 +85,10 @@ CampusRunResult run_campus(const CampusRunConfig& config) {
   core::AnalyzerConfig an_cfg;
   an_cfg.frame_sample_every = config.frame_sample_every;
   an_cfg.strict = config.strict;
-  if (config.anonymize) {
-    capture::PrefixPreservingAnonymizer anon(cap_cfg.anonymization_key);
+  // The analyzer keeps matching servers after the filter anonymized them.
+  if (config.anonymize)
     an_cfg.server_db =
-        zoom::ServerDb(anonymize_subnets(anon, cap_cfg.server_db.subnets()));
-  }
+        capture::anonymize_server_db(cap_cfg.server_db, cap_cfg.anonymization_key);
 
   util::IntervalBinner all_rate(config.rate_bin);
   util::IntervalBinner zoom_rate(config.rate_bin);

@@ -3,7 +3,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -391,6 +393,15 @@ void MonitorDaemon::final_flush() {
 }
 
 int MonitorDaemon::run(net::BatchSource& source) {
+  // Every journal, MANIFEST and epoch write lands in the report
+  // directory: make it, or refuse to start, before any packet is read.
+  std::error_code ec;
+  if (!config_.report_dir.empty() &&
+      !std::filesystem::create_directories(config_.report_dir, ec) && ec) {
+    std::fprintf(stderr, "zpm-daemon: cannot create report directory %s: %s\n",
+                 config_.report_dir.c_str(), ec.message().c_str());
+    return 1;
+  }
   engine_.emplace(config_.engine);
   restore();
   // After restore: the segment is named by the resumed epoch seq, so a

@@ -17,8 +17,15 @@ constexpr const char* kWants[] = {
     "0 or 1", "an unsigned integer", "a positive integer",
     "a hexadecimal integer", "a number", "a number of seconds",
     "a byte count like 4M or 262144", "a value",
-    "\"begin-end:pressure[,...]\" over packet indices"};
-const char* wants(OptionKind kind) { return kWants[static_cast<int>(kind)]; }
+    "\"begin-end:pressure[,...]\" over packet indices",
+    "an IPv4 subnet like 10.0.0.0/8",
+    "",  // QueryField: each field's own, from query::query_field_syntax
+    "key=value fields like from=0;metric=rtt joined by ';'"};
+std::string_view wants(const Option& opt) {
+  if (opt.kind == OptionKind::QueryField)
+    return query::query_field_syntax(std::string_view(opt.flag).substr(2));
+  return kWants[static_cast<int>(opt.kind)];
+}
 
 /// Stores an integer into a 64- or 32-bit field; false if it does not fit.
 bool put(const Option& opt, std::uint64_t v) {
@@ -63,6 +70,16 @@ bool store(const Option& opt, std::string_view text) {
     case OptionKind::String:
       *std::get<std::string*>(opt.field) = text;
       return true;
+    case OptionKind::Subnet: {
+      const auto subnet = net::Ipv4Subnet::parse(text);
+      if (subnet) std::get<std::vector<net::Ipv4Subnet>*>(opt.field)->push_back(*subnet);
+      return subnet.has_value();
+    }
+    case OptionKind::QueryField:
+      return query::parse_query_field(std::string_view(opt.flag).substr(2), text,
+                                      *std::get<query::QueryRequest*>(opt.field));
+    case OptionKind::QuerySpec:
+      return query::apply_query_fields(text, *std::get<query::QueryRequest*>(opt.field));
   }
   return false;
 }
@@ -84,17 +101,20 @@ OptionTable for_surface(OptionTable rows, Surface surface) {
   return rows;
 }
 
-ParsedArgs parse_args(const OptionTable& table, std::span<char* const> args) {
+ParsedArgs parse_args(const OptionTable& table, std::span<char* const> args,
+                      bool positionals) {
   ParsedArgs out;
   for (std::size_t i = 0; i < args.size() && out.error.empty(); ++i) {
     const std::string_view arg = args[i];
     const auto row = std::ranges::find_if(
         table, [&](const Option& o) { return o.flag != nullptr && arg == o.flag; });
-    if (row == table.end()) {
+    if (row == table.end() && positionals && !arg.starts_with('-')) {
+      out.positionals.push_back(arg);
+    } else if (row == table.end()) {
       out.error = "unknown option " + std::string(arg);
     } else if (row->kind != OptionKind::Flag &&
                (i + 1 == args.size() || !store(*row, args[++i]))) {
-      out.error = std::string(arg) + " wants " + wants(row->kind);
+      out.error = std::string(arg) + " wants " + std::string(wants(*row));
     } else {
       if (row->kind == OptionKind::Flag) *std::get<bool*>(row->field) = row->set;
       if (row->implies != nullptr) *row->implies = true;
@@ -117,7 +137,7 @@ std::vector<std::string> parse_config(const OptionTable& table, std::istream& in
     if (row == table.end())
       errors.push_back("unknown key '" + key + "' ignored");
     else if (!store(*row, trim(text.substr(eq + 1))))
-      errors.push_back(key + " wants " + wants(row->kind) + "; key ignored");
+      errors.push_back(key + " wants " + std::string(wants(*row)) + "; key ignored");
   }
   return errors;
 }
@@ -206,12 +226,8 @@ OptionTable file_run_options(FileRunSettings& s, Surface surface) {
        "<seed> inject hostile faults into the input first"},
       {"--no-sketch", nullptr, K::Flag, &s.sketch, kFiles,
        "no sketch tier (budget 0; same results)", false},
-      {"--frontend-stats", nullptr, K::Flag, &s.frontend_stats, kFiles,
-       "print the front end's verdict counters"},
-      {"--sketch-stats", nullptr, K::Flag, &s.sketch_stats, kFiles,
-       "print the sketch tier's volume and heavy hitters"},
-      {"--offload-stats", nullptr, K::Flag, &s.offload_stats, kAnalyze,
-       "print the offload's histograms and accounting"},
+      {"--stats", nullptr, K::Flag, &s.stats, kFiles,
+       "print the front end, sketch tier and offload counters"},
   });
   return for_surface(std::move(rows), surface);
 }
@@ -230,6 +246,40 @@ OptionTable trace_options(TraceSettings& s) {
        "<period-s> square-wave background overlay"},
       {"--burst-flows", nullptr, K::Unsigned, &s.burst_flows, kTrace,
        "<n> flows in the overlay (default 20000)"},
+  };
+}
+
+OptionTable query_options(QuerySettings& s) {
+  using K = OptionKind;
+  return {
+      {"--dir", nullptr, K::String, &s.dir, kQuery,
+       "<report-dir> query the journals its MANIFEST lists"},
+      {"--from", nullptr, K::QueryField, &s.request, kQuery,
+       "<us> window start, us since the epoch (default: everything)"},
+      {"--to", nullptr, K::QueryField, &s.request, kQuery,
+       "<us> window end, inclusive"},
+      {"--metric", nullptr, K::QueryField, &s.request, kQuery,
+       "<m> rtt|jitter|bitrate|sfu-rtt (default rtt)"},
+      {"--group", nullptr, K::QueryField, &s.request, kQuery,
+       "<g> all|meeting|site (default all)"},
+      {"--meeting", nullptr, K::QueryField, &s.request, kQuery,
+       "<key> restrict to one stable meeting key"},
+      {"--query", nullptr, K::QuerySpec, &s.request, kQuery,
+       "<spec> from=..;to=..;metric=..;group=..[;meeting=..]"},
+      {"--stats", nullptr, K::Flag, &s.stats, kQuery,
+       "per-journal index/scan accounting on stderr"},
+  };
+}
+
+OptionTable pcap_filter_options(capture::CaptureConfig& c) {
+  using K = OptionKind;
+  return {
+      {"--campus", nullptr, K::Subnet, &c.campus_subnets, kFilter,
+       "<cidr> campus subnet, repeatable (default 10.0.0.0/8)"},
+      {"--no-anonymize", nullptr, K::Flag, &c.anonymize, kFilter,
+       "write addresses unchanged", false},
+      {"--key", nullptr, K::Hex, &c.anonymization_key, kFilter,
+       "<hex> anonymization key (default 5eedcafef00dd00d)"},
   };
 }
 

@@ -1,9 +1,10 @@
 // One declarative option table behind every configuration surface:
-// zpm_analyze, campus_monitor's --pcap / --make-trace / --daemon flags
-// and the daemon's SIGHUP key=value file. One strict parser serves argv
-// and config lines — the whole value must parse — and the usage text is
-// rendered from the same rows. A row is reloadable on SIGHUP exactly
-// when it has a config key. See DESIGN.md "Continuous operation".
+// zpm_analyze, campus_monitor's --pcap / --make-trace / --daemon flags,
+// zpm_query, zpm_pcap_filter and the daemon's SIGHUP key=value file.
+// One strict parser serves argv and config lines — the whole value must
+// parse — and the usage text is rendered from the same rows. A row is
+// reloadable on SIGHUP exactly when it has a config key. See DESIGN.md
+// "Continuous operation".
 #pragma once
 
 #include <charconv>
@@ -18,6 +19,9 @@
 #include <vector>
 
 #include "analysis/epoch.h"
+#include "capture/filter.h"
+#include "net/addr.h"
+#include "query/query.h"
 
 namespace zpm::analysis {
 
@@ -33,11 +37,18 @@ enum class OptionKind : std::uint8_t {
   ByteSize,  ///< util::parse_byte_size: "4M", "256K", "1048576"
   String,    ///< any text
   Schedule,  ///< overload::PressureSchedule "begin-end:pressure[,...]"
+  Subnet,    ///< IPv4 CIDR "a.b.c.d/len", appended: the flag repeats
+  QueryField,  ///< the query::QueryRequest field named by the flag
+               ///< without its dashes (query::parse_query_field)
+  QuerySpec,   ///< ';'-joined key=value request fields, applied in order
 };
 
-/// Command-line surfaces, as bits of Option::surfaces: zpm_analyze and
-/// campus_monitor --pcap, --make-trace and --daemon.
-enum Surface : std::uint8_t { kAnalyze = 1, kPcap = 2, kTrace = 4, kDaemon = 8 };
+/// Command-line surfaces, as bits of Option::surfaces: zpm_analyze,
+/// campus_monitor --pcap, --make-trace and --daemon, zpm_query and
+/// zpm_pcap_filter.
+enum Surface : std::uint8_t {
+  kAnalyze = 1, kPcap = 2, kTrace = 4, kDaemon = 8, kQuery = 16, kFilter = 32
+};
 
 /// One row. A value row's help line starts with the value's name, as
 /// in "<n> analyzer shards".
@@ -48,7 +59,8 @@ struct Option {
   /// Where a parsed value is stored (size_t fields bind as uint64_t*):
   /// a table must not outlive the settings its rows point into.
   std::variant<bool*, std::uint32_t*, std::uint64_t*, double*, util::Duration*,
-               std::string*> field;
+               std::string*, std::vector<net::Ipv4Subnet>*, query::QueryRequest*>
+      field;
   std::uint8_t surfaces;  ///< Surface bits that accept `flag`
   const char* help;
   bool set = true;          ///< what a given Flag row stores
@@ -64,12 +76,16 @@ OptionTable for_surface(OptionTable rows, Surface surface);
 struct ParsedArgs {
   std::string error;                  ///< first usage error; empty = ok
   std::set<std::string_view> given;  ///< the flags seen
+  std::vector<std::string_view> positionals;  ///< when accepted, in order
 };
 
-/// Parses flags and their values (no program name or positionals),
-/// stopping at the first unknown flag or missing or malformed value;
-/// the error names the flag ("--threads wants a positive integer").
-ParsedArgs parse_args(const OptionTable& table, std::span<char* const> args);
+/// Parses flags and their values (no program name), stopping at the
+/// first unknown flag or missing or malformed value; the error names
+/// the flag ("--threads wants a positive integer"). Values apply in
+/// command-line order. An argument that does not start with '-' is an
+/// error too, unless `positionals` collects it.
+ParsedArgs parse_args(const OptionTable& table, std::span<char* const> args,
+                      bool positionals = false);
 
 /// Applies "key = value" lines (whitespace trimmed; blank, "#" and
 /// "="-less lines skipped). Returns one message per unknown key or
@@ -101,9 +117,7 @@ OptionTable engine_options(EpochEngineConfig& config);
 struct FileRunSettings {
   EpochEngineConfig engine;
   bool sketch = true;  ///< false under --no-sketch: budget 0
-  bool frontend_stats = false;
-  bool sketch_stats = false;
-  bool offload_stats = false;
+  bool stats = false;  ///< --stats: analysis::render_stats after the report
   std::string csv_prefix;
   std::uint64_t anon_key = 0;      ///< meaningful when --anon-key is given
   std::uint64_t corrupt_seed = 0;  ///< meaningful when --corrupt is given
@@ -122,5 +136,16 @@ struct TraceSettings {
   std::uint64_t burst_flows = 20'000;
 };
 OptionTable trace_options(TraceSettings& settings);
+
+/// zpm_query's settings and rows; the journal paths are positionals.
+struct QuerySettings {
+  std::string dir;  ///< MANIFEST mode when set
+  query::QueryRequest request;
+  bool stats = false;
+};
+OptionTable query_options(QuerySettings& settings);
+
+/// zpm_pcap_filter's rows, over the capture filter's configuration.
+OptionTable pcap_filter_options(capture::CaptureConfig& config);
 
 }  // namespace zpm::analysis

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "util/strings.h"
+#include "util/table.h"
+
 namespace zpm::analysis {
 
 namespace {
@@ -24,6 +27,28 @@ std::string media_kind_label(zoom::MediaKind kind) {
     case zoom::MediaKind::ScreenShare: return "Screen Share (13)";
   }
   return "?";
+}
+
+/// One "Counter / Count" table row per field-table entry.
+template <class S, class Rows>
+std::string counter_table(const S& stats, const Rows& rows) {
+  util::TextTable t;
+  t.header({"Counter", "Count"}, {util::Align::Left, util::Align::Right});
+  for (const auto& row : rows)
+    t.row({std::string(row.name), util::with_commas(stats.*row.member)});
+  return t.render();
+}
+
+/// An offload histogram bucket's range: power-of-two boundaries in us,
+/// shown in ms from 1000 us up.
+std::string offload_bucket_label(std::size_t b) {
+  auto human_us = [](std::uint64_t us) {
+    if (us >= 1000) return util::fixed(static_cast<double>(us) / 1000.0, 0) + "ms";
+    return std::to_string(us) + "us";
+  };
+  const std::uint64_t lo = b == 0 ? 0 : std::uint64_t{1} << b;
+  if (b + 1 >= capture::kOffloadBuckets) return ">=" + human_us(lo);
+  return human_us(lo) + "-" + human_us(std::uint64_t{1} << (b + 1));
 }
 
 }  // namespace
@@ -95,31 +120,50 @@ std::vector<HealthRow> health_rows(const core::AnalyzerHealth& h) {
   return rows;
 }
 
-std::vector<HealthRow> frontend_rows(const capture::FrontEndStats& s) {
-  std::vector<HealthRow> rows;
-  rows.push_back({"frontend-admitted", "pre-classified Zoom-relevant, fast dispatch",
-                  s.admitted, false});
-  rows.push_back({"frontend-rejected", "screened out without header decode",
-                  s.rejected, false});
-  rows.push_back({"frontend-full-parse", "uncertain, routed to the normal decode path",
-                  s.full_parse, false});
-  auto add = [&](std::string_view category, std::string_view description,
-                 std::uint64_t count) {
-    if (count > 0) rows.push_back(HealthRow{category, description, count, false});
-  };
-  add("frontend-zoom-shaped", "admits matching a Zoom payload shape", s.zoom_shaped);
-  add("frontend-stun-flagged", "admits touching the STUN port", s.stun_flagged);
-  add("frontend-simd-batches", "batches classified by the SWAR/SSE2 probe",
-      s.simd_batches);
-  add("frontend-scalar-batches", "batches classified by the scalar reference probe",
-      s.scalar_batches);
-  add("offload-covered", "admits absorbed by the data-plane metric offload",
-      s.offload_covered);
-  add("offload-collisions", "offload probe/telemetry register slot overwrites",
-      s.offload_collisions);
-  add("offload-evictions", "offload jitter scratch slots lost to colliding streams",
-      s.offload_evictions);
-  return rows;
+std::string render_stats(const capture::BatchFilter* frontend) {
+  std::string out =
+      "== capture front end ===========================================\n";
+  if (frontend == nullptr) return out + "front end not active (--no-frontend)\n";
+  out += std::string(frontend->simd_active() ? "SWAR/SSE2" : "scalar") +
+         " probe, " + util::with_commas(frontend->flow_count()) +
+         " admitted flows, " +
+         util::with_commas(frontend->candidate_endpoint_count()) +
+         " armed candidate endpoints\n";
+  out += counter_table(frontend->stats(), capture::kFrontEndStatsFields);
+
+  out += "\n== sketch flow tier ============================================\n";
+  if (!frontend->sketch_enabled()) {
+    out += "sketch tier not active (--no-sketch)\n";
+  } else {
+    const auto report = frontend->sketch_report(10);
+    out += counter_table(report.stats, sketch::kTierStatsFields);
+    if (!report.heavy_hitters.empty()) {
+      util::TextTable hh;
+      hh.header({"Background flow", "Bytes", "Packets", "Err bytes"},
+                {util::Align::Left, util::Align::Right, util::Align::Right,
+                 util::Align::Right});
+      for (const auto& h : report.heavy_hitters)
+        hh.row({h.flow.to_string(), util::human_bytes(h.bytes),
+                util::with_commas(h.packets), util::with_commas(h.error_bytes)});
+      out += hh.render();
+    }
+  }
+
+  out += "\n== data-plane metric offload ===================================\n";
+  if (!frontend->offload_enabled())
+    return out + "offload not active (pass --dataplane-offload to enable)\n";
+  const auto report = frontend->offload_report();
+  out += counter_table(report, capture::kOffloadReportFields);
+  util::TextTable hist;
+  hist.header({"Bucket", "Jitter dev", "RTT"},
+              {util::Align::Left, util::Align::Right, util::Align::Right});
+  for (std::size_t b = 0; b < capture::kOffloadBuckets; ++b) {
+    if (report.jitter.buckets[b] == 0 && report.rtt.buckets[b] == 0) continue;
+    hist.row({offload_bucket_label(b), util::with_commas(report.jitter.buckets[b]),
+              util::with_commas(report.rtt.buckets[b])});
+  }
+  if (report.jitter.samples > 0 || report.rtt.samples > 0) out += hist.render();
+  return out;
 }
 
 }  // namespace zpm::analysis

@@ -1,5 +1,6 @@
 // Formatting helpers turning analyzer counters into the paper's table
-// rows (Tables 2 and 3), shared by benches and examples.
+// rows (Tables 2 and 3) and the CLIs' health and --stats sections,
+// shared by benches and examples.
 #pragma once
 
 #include <string>
@@ -47,10 +48,11 @@ struct HealthRow {
 /// when health.all_clear().
 std::vector<HealthRow> health_rows(const core::AnalyzerHealth& health);
 
-/// Capture front-end selectivity counters (--frontend-stats), rendered
-/// with the same row shape as health_rows so drivers reuse one printer.
-/// Unlike health_rows, zero-count rows for the three verdicts are kept:
-/// "rejected 0" on a pure-Zoom trace is itself the interesting datum.
-std::vector<HealthRow> frontend_rows(const capture::FrontEndStats& stats);
+/// The `--stats` text of zpm_analyze and campus_monitor --pcap: the
+/// front end's, the sketch tier's and the offload's counters, one row
+/// per kFrontEndStatsFields / kTierStatsFields / kOffloadReportFields
+/// entry, then the tier's top heavy hitters and the offload histograms.
+/// `frontend` is null when the run had no front end (--no-frontend).
+std::string render_stats(const capture::BatchFilter* frontend);
 
 }  // namespace zpm::analysis

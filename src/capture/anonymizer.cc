@@ -67,4 +67,13 @@ void PrefixPreservingAnonymizer::anonymize_frame(net::RawPacket& pkt) const {
   pkt.data[25] = static_cast<std::uint8_t>(csum);
 }
 
+zoom::ServerDb anonymize_server_db(const zoom::ServerDb& servers, std::uint64_t key) {
+  const PrefixPreservingAnonymizer anon(key);
+  std::vector<net::Ipv4Subnet> mapped;
+  mapped.reserve(servers.subnets().size());
+  for (const auto& s : servers.subnets())
+    mapped.emplace_back(anon.anonymize(s.base()), s.prefix_len());
+  return zoom::ServerDb(std::move(mapped));
+}
+
 }  // namespace zpm::capture

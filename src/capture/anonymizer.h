@@ -13,6 +13,7 @@
 
 #include "net/addr.h"
 #include "net/packet.h"
+#include "zoom/server_db.h"
 
 namespace zpm::capture {
 
@@ -33,5 +34,10 @@ class PrefixPreservingAnonymizer {
   bool prf_bit(std::uint32_t prefix, int len) const;
   std::uint64_t key_;
 };
+
+/// `servers` with every subnet base mapped through the anonymizer keyed
+/// `key`: the server list that still matches a capture anonymized with
+/// that key (prefix preservation keeps each subnet a subnet).
+zoom::ServerDb anonymize_server_db(const zoom::ServerDb& servers, std::uint64_t key);
 
 }  // namespace zpm::capture

@@ -41,6 +41,7 @@
 // short frames) is FullParse: the normal decode path, unchanged.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -49,6 +50,7 @@
 #include "net/five_tuple.h"
 #include "net/packet.h"
 #include "sketch/sketch.h"
+#include "util/counter_table.h"
 #include "zoom/server_db.h"
 
 namespace zpm::capture {
@@ -136,6 +138,30 @@ struct FrontEndStats {
   std::uint64_t promoted_packets = 0;
   std::uint64_t promoted_bytes = 0;
 };
+
+/// Every FrontEndStats counter, in declaration order (the `--stats`
+/// rows; util/counter_table.h).
+inline constexpr std::array<util::CounterField<FrontEndStats>, 13>
+    kFrontEndStatsFields{{
+        {&FrontEndStats::packets, "packets"},
+        {&FrontEndStats::admitted, "admitted"},
+        {&FrontEndStats::rejected, "rejected"},
+        {&FrontEndStats::full_parse, "full-parse"},
+        {&FrontEndStats::zoom_shaped, "zoom-shaped"},
+        {&FrontEndStats::stun_flagged, "stun-flagged"},
+        {&FrontEndStats::simd_batches, "simd-batches"},
+        {&FrontEndStats::scalar_batches, "scalar-batches"},
+        {&FrontEndStats::offload_covered, "offload-covered"},
+        {&FrontEndStats::offload_collisions, "offload-collisions"},
+        {&FrontEndStats::offload_evictions, "offload-evictions"},
+        {&FrontEndStats::promoted_packets, "promoted-packets"},
+        {&FrontEndStats::promoted_bytes, "promoted-bytes"},
+    }};
+
+// A counter added to FrontEndStats without a row fails here.
+static_assert(sizeof(FrontEndStats) ==
+                  kFrontEndStatsFields.size() * sizeof(std::uint64_t) &&
+              util::distinct_members(kFrontEndStatsFields));
 
 /// Stage 2: open-addressing flat map from packed canonical 5-tuples to
 /// (owner shard, flow slot). Replaces the per-packet

@@ -1,78 +1,8 @@
 #include "capture/inline_telemetry.h"
 
-#include <cstdlib>
-
 #include "net/checksum.h"
-#include "util/serial.h"
 
 namespace zpm::capture {
-
-DataPlaneTelemetry::DataPlaneTelemetry(std::size_t slots)
-    : slots_(slots == 0 ? 1 : slots) {}
-
-std::size_t DataPlaneTelemetry::index(std::uint32_t ssrc) const {
-  std::uint64_t x = ssrc * 0x9e3779b97f4a7c15ULL;
-  x ^= x >> 29;
-  return static_cast<std::size_t>(x) % slots_.size();
-}
-
-void DataPlaneTelemetry::on_media_packet(util::Timestamp arrival,
-                                         std::uint32_t ssrc, std::uint16_t seq,
-                                         std::uint32_t rtp_ts, std::uint32_t bytes,
-                                         std::uint32_t clock_hz) {
-  Slot& slot = slots_[index(ssrc)];
-  if (slot.valid && slot.snap.ssrc != ssrc) {
-    // Collision: the register is reused by the new stream (data-plane
-    // semantics — no chaining).
-    ++collisions_;
-    slot = Slot{};
-  }
-  if (!slot.valid) {
-    slot.valid = true;
-    slot.snap.ssrc = ssrc;
-  }
-  auto& s = slot.snap;
-  ++s.packets;
-  s.bytes += bytes;
-
-  if (slot.have_prev && clock_hz > 0) {
-    std::int64_t arrival_delta_us = arrival.us() - s.last_arrival_us;
-    // Media delta in µs via integer math: delta_ticks * 1e6 / clock.
-    std::int64_t ticks = util::serial_diff(slot.last_rtp_ts, rtp_ts);
-    std::int64_t media_delta_us = ticks * 1'000'000 / clock_hz;
-    if (media_delta_us >= 0) {
-      std::int64_t d = arrival_delta_us - media_delta_us;
-      std::int64_t abs_d = d < 0 ? -d : d;
-      // J += (|D| - J) >> 4 — the RFC 3550 gain in shift form (signed
-      // arithmetic so the estimate can decay).
-      std::int64_t j = s.jitter_us;
-      j += (abs_d - j) >> 4;
-      s.jitter_us = static_cast<std::uint32_t>(j < 0 ? 0 : j);
-    }
-    auto seq_delta = util::serial_diff(slot.last_seq, seq);
-    if (seq_delta > 1) s.seq_gaps += static_cast<std::uint32_t>(seq_delta - 1);
-  }
-  // Only advance the frontier on in-order packets.
-  if (!slot.have_prev || util::serial_less(slot.last_seq, seq)) {
-    slot.last_seq = seq;
-    slot.last_rtp_ts = rtp_ts;
-    s.last_arrival_us = arrival.us();
-  }
-  slot.have_prev = true;
-}
-
-std::optional<TelemetrySnapshot> DataPlaneTelemetry::query(std::uint32_t ssrc) const {
-  const Slot& slot = slots_[index(ssrc)];
-  if (!slot.valid || slot.snap.ssrc != ssrc) return std::nullopt;
-  return slot.snap;
-}
-
-std::vector<TelemetrySnapshot> DataPlaneTelemetry::residents() const {
-  std::vector<TelemetrySnapshot> out;
-  for (const auto& slot : slots_)
-    if (slot.valid) out.push_back(slot.snap);
-  return out;
-}
 
 std::uint8_t dscp_for(zoom::MediaKind kind, bool is_fec) {
   if (is_fec) return 8;  // CS1: repair data is the first to drop

@@ -1,70 +1,20 @@
-// In-network monitoring and control — the §8 future-work extension.
+// In-network control — the §8 future-work extension's marking half.
 //
 // The paper observes that its metrics "can be implemented in a
 // streaming fashion and are amenable to data-plane implementation",
 // with control actions like annotating packets (e.g. DSCP) by type or
-// importance. This module provides both halves under data-plane
-// constraints: fixed-size register arrays indexed by a hash (collisions
-// overwrite, as on a switch), integer-only arithmetic, no per-packet
-// allocation.
+// importance. The streaming-metric half lives in capture/offload.h
+// (register-array histograms and the per-SSRC tag registers); this
+// header is the annotation half.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "net/packet.h"
-#include "util/time.h"
 #include "zoom/constants.h"
 
 namespace zpm::capture {
-
-/// Per-stream telemetry snapshot, as readable from the register arrays.
-struct TelemetrySnapshot {
-  std::uint32_t ssrc = 0;
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-  /// Integer EWMA of |interarrival - media delta| in microseconds,
-  /// RFC 3550-style with shift-by-4 gain (data planes have no floats).
-  std::uint32_t jitter_us = 0;
-  std::uint32_t seq_gaps = 0;  // observed forward jumps > 1
-  std::int64_t last_arrival_us = 0;
-};
-
-/// Streaming per-SSRC metric sketch with switch-like resource behaviour.
-class DataPlaneTelemetry {
- public:
-  /// `slots` should be a power of two (register array size).
-  explicit DataPlaneTelemetry(std::size_t slots = 1024);
-
-  /// Processes one media packet (already dissected by the parser stage).
-  /// `clock_hz` converts the RTP timestamp delta to wall time.
-  void on_media_packet(util::Timestamp arrival, std::uint32_t ssrc,
-                       std::uint16_t seq, std::uint32_t rtp_ts,
-                       std::uint32_t bytes, std::uint32_t clock_hz);
-
-  /// Reads the slot currently holding `ssrc`; nullopt if evicted by a
-  /// colliding stream (exactly what a control plane polling switch
-  /// registers would observe).
-  [[nodiscard]] std::optional<TelemetrySnapshot> query(std::uint32_t ssrc) const;
-
-  /// Streams currently resident across all slots.
-  [[nodiscard]] std::vector<TelemetrySnapshot> residents() const;
-  [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
-
- private:
-  struct Slot {
-    bool valid = false;
-    TelemetrySnapshot snap;
-    std::uint16_t last_seq = 0;
-    std::uint32_t last_rtp_ts = 0;
-    bool have_prev = false;
-  };
-  std::size_t index(std::uint32_t ssrc) const;
-
-  std::vector<Slot> slots_;
-  std::uint64_t collisions_ = 0;
-};
 
 /// DSCP codepoints for Zoom media classes (EF for audio, AF41 for
 /// video, AF21 for screen share, CS1 for FEC — importance-based marking

@@ -39,6 +39,13 @@ inline std::uint64_t probe_word(const OffloadFields& f) {
   return word == 0 ? 1 : word;  // 0 marks an empty slot
 }
 
+/// SSRC-tag register index (flow_slots is a power of two).
+inline std::size_t ssrc_slot(std::uint32_t ssrc, std::size_t slots) {
+  std::uint64_t x = ssrc * 0x9e3779b97f4a7c15ULL;
+  x ^= x >> 29;
+  return static_cast<std::size_t>(x & (slots - 1));
+}
+
 std::size_t pow2_at_least(std::size_t n) {
   std::size_t cap = 16;
   while (cap < n) cap <<= 1;
@@ -137,7 +144,7 @@ DataPlaneOffload::DataPlaneOffload(OffloadConfig config)
     : config_{pow2_at_least(config.flow_slots), pow2_at_least(config.probe_slots)},
       flows_(config_.flow_slots),
       probes_(config_.probe_slots),
-      telemetry_(config_.flow_slots) {}
+      ssrc_tags_(config_.flow_slots) {}
 
 OffloadUpdate DataPlaneOffload::on_media_packet(util::Timestamp arrival,
                                                 const OffloadFields& f) {
@@ -145,13 +152,14 @@ OffloadUpdate DataPlaneOffload::on_media_packet(util::Timestamp arrival,
   ++report_.covered_packets;
   const std::int64_t arr = arrival.us();
 
-  // The embedded per-SSRC telemetry sketch shares the packet feed.
-  const std::uint64_t tcol_before = telemetry_.collisions();
-  telemetry_.on_media_packet(arrival, f.ssrc, f.seq, f.rtp_ts, f.payload_bytes,
-                             f.clock_hz);
-  update.telemetry_collisions =
-      static_cast<std::uint8_t>(telemetry_.collisions() - tcol_before);
-  report_.telemetry_collisions += update.telemetry_collisions;
+  // SSRC tag: a valid slot holding another SSRC is overwritten.
+  std::uint64_t& ssrc_tag = ssrc_tags_[ssrc_slot(f.ssrc, config_.flow_slots)];
+  const std::uint64_t want = (std::uint64_t{1} << 32) | f.ssrc;
+  if (ssrc_tag != 0 && ssrc_tag != want) {
+    update.telemetry_collisions = 1;
+    ++report_.telemetry_collisions;
+  }
+  ssrc_tag = want;
 
   // Interarrival-jitter scratch + global histogram. A sample exists
   // from the third packet of a stream's residency: the first stores the
@@ -205,14 +213,17 @@ OffloadReference::OffloadReference(OffloadConfig config)
     : config_{pow2_at_least(config.flow_slots), pow2_at_least(config.probe_slots)},
       flows_(config_.flow_slots),
       probes_(config_.probe_slots),
-      telemetry_(config_.flow_slots) {}
+      ssrcs_(config_.flow_slots) {}
 
 void OffloadReference::on_media_packet(util::Timestamp arrival,
                                        const OffloadFields& f) {
   ++covered_packets_;
   const std::int64_t arr = arrival.us();
-  telemetry_.on_media_packet(arrival, f.ssrc, f.seq, f.rtp_ts, f.payload_bytes,
-                             f.clock_hz);
+  std::uint64_t h = f.ssrc * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 29;
+  std::optional<std::uint32_t>& owner = ssrcs_[h % ssrcs_.size()];
+  if (owner && *owner != f.ssrc) ++telemetry_collisions_;
+  owner = f.ssrc;
 
   const std::uint64_t tag = stream_tag(f);
   FlowState& fs = flows_[mix64(tag) & (config_.flow_slots - 1)];
@@ -267,7 +278,7 @@ OffloadReport OffloadReference::report() const {
   report.probe_arms = probe_arms_;
   report.probe_collisions = probe_collisions_;
   report.flow_evictions = flow_evictions_;
-  report.telemetry_collisions = telemetry_.collisions();
+  report.telemetry_collisions = telemetry_collisions_;
   return report;
 }
 

@@ -10,12 +10,11 @@
 // those "covered" packets and folds the histograms into epoch records
 // instead.
 //
-// Everything here obeys the same data-plane constraints as
-// DataPlaneTelemetry (inline_telemetry.h): fixed-size register arrays
-// indexed by a hash with collision-overwrite semantics, integer-only
-// arithmetic (EWMA via arithmetic shift, power-of-two histogram bucket
-// boundaries computed with a priority encoder / bit_width), and no
-// per-packet allocation. Three register groups:
+// Everything here obeys data-plane constraints: fixed-size register
+// arrays indexed by a hash with collision-overwrite semantics,
+// integer-only arithmetic (EWMA via arithmetic shift, power-of-two
+// histogram bucket boundaries computed with a priority encoder /
+// bit_width), and no per-packet allocation. Four register groups:
 //
 //   * per-flow jitter scratch (hash of ssrc+direction+media type →
 //     last arrival + integer EWMA of the interarrival delta): each
@@ -33,10 +32,11 @@
 //     P4TG-style with power-of-two boundaries (bucket b counts samples
 //     in [2^b, 2^(b+1)) µs; bucket 0 also absorbs 0–1 µs; the top
 //     bucket clamps).
-//
-// A DataPlaneTelemetry instance rides along per offload (one packet
-// feed serves both), so its per-SSRC collision counter is finally
-// surfaced through AnalyzerHealth / --frontend-stats.
+//   * an SSRC-tag register array (flow_slots entries, indexed by a hash
+//     of the SSRC): a packet whose slot is valid but holds another SSRC
+//     overwrites it, counted as a telemetry collision — the per-SSRC
+//     register churn AnalyzerHealth's offload-collisions and --stats
+//     report next to the probe collisions.
 //
 // Register contents are cumulative for the life of the filter, exactly
 // what a control plane polling switch registers observes. Collision and
@@ -53,7 +53,6 @@
 #include <span>
 #include <vector>
 
-#include "capture/inline_telemetry.h"
 #include "capture/resources.h"
 #include "util/bytes.h"
 #include "util/counter_table.h"
@@ -95,10 +94,10 @@ struct OffloadReport {
   std::uint64_t probe_arms = 0;        ///< upstream stamps written
   std::uint64_t probe_collisions = 0;  ///< armed slot overwritten by another word
   std::uint64_t flow_evictions = 0;    ///< jitter scratch slot overwritten
-  std::uint64_t telemetry_collisions = 0;  ///< embedded DataPlaneTelemetry
+  std::uint64_t telemetry_collisions = 0;  ///< SSRC-tag slot overwritten
 
   void merge(const OffloadReport& other);
-  /// probe + telemetry slot overwrites (the AnalyzerHealth feed).
+  /// probe + SSRC-tag slot overwrites (the AnalyzerHealth feed).
   [[nodiscard]] std::uint64_t collisions() const {
     return probe_collisions + telemetry_collisions;
   }
@@ -171,9 +170,8 @@ class DataPlaneOffload {
   /// extract_offload_fields, arrival from the capture record).
   OffloadUpdate on_media_packet(util::Timestamp arrival, const OffloadFields& f);
 
-  /// Register contents so far (telemetry collisions folded in).
+  /// Register contents so far.
   [[nodiscard]] OffloadReport report() const;
-  [[nodiscard]] const DataPlaneTelemetry& telemetry() const { return telemetry_; }
   [[nodiscard]] const OffloadConfig& config() const { return config_; }
 
  private:
@@ -191,8 +189,8 @@ class DataPlaneOffload {
   OffloadConfig config_;
   std::vector<FlowSlot> flows_;
   std::vector<ProbeSlot> probes_;
+  std::vector<std::uint64_t> ssrc_tags_;  ///< SSRC | 1 << 32; 0 = empty
   OffloadReport report_;
-  DataPlaneTelemetry telemetry_;
 };
 
 /// Straightforward reimplementation of the update specification, kept
@@ -238,7 +236,8 @@ class OffloadReference {
   std::uint64_t probe_arms_ = 0;
   std::uint64_t probe_collisions_ = 0;
   std::uint64_t flow_evictions_ = 0;
-  DataPlaneTelemetry telemetry_;
+  std::vector<std::optional<std::uint32_t>> ssrcs_;
+  std::uint64_t telemetry_collisions_ = 0;
 };
 
 /// Table 5 rows for the offload extension: the histogram stages and the

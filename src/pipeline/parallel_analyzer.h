@@ -174,7 +174,7 @@ class ParallelAnalyzer {
   /// Sketch-tier promotions seen across all verdict-aware offer_batch()
   /// calls, in arrival order: the pre-admission byte/packet aggregates
   /// the capture front end carried for flows that reached exact
-  /// tracking. Side-band context only (reported via --sketch-stats);
+  /// tracking. Side-band context only (reported via --stats);
   /// never folded into the standard report, which stays bit-identical
   /// with the tier on or off.
   [[nodiscard]] const std::vector<capture::BatchVerdicts::Promotion>&

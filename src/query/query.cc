@@ -92,41 +92,63 @@ std::string format_query_request(const QueryRequest& request) {
   return out;
 }
 
-bool parse_query_request(std::string_view text, QueryRequest& out) {
-  out = QueryRequest{};
+bool parse_query_field(std::string_view key, std::string_view value,
+                       QueryRequest& out) {
+  QueryRequest r = out;
+  if (key == "from") {
+    if (!parse_i64(value, r.from_us)) return false;
+  } else if (key == "to") {
+    if (!parse_i64(value, r.to_us)) return false;
+  } else if (key == "metric") {
+    if (value == "rtt") r.metric = QueryMetric::Rtt;
+    else if (value == "jitter") r.metric = QueryMetric::Jitter;
+    else if (value == "bitrate") r.metric = QueryMetric::Bitrate;
+    else if (value == "sfu-rtt") r.metric = QueryMetric::SfuRtt;
+    else return false;
+  } else if (key == "group") {
+    if (value == "all") r.group = QueryGroupBy::All;
+    else if (value == "meeting") r.group = QueryGroupBy::Meeting;
+    else if (value == "site") r.group = QueryGroupBy::Site;
+    else return false;
+  } else if (key == "meeting") {
+    if (!parse_u64(value, r.meeting_key)) return false;
+    r.has_meeting = true;
+  } else {
+    return false;
+  }
+  out = r;
+  return true;
+}
+
+std::string_view query_field_syntax(std::string_view key) {
+  if (key == "from" || key == "to") return "an integer of microseconds";
+  if (key == "metric") return "rtt, jitter, bitrate or sfu-rtt";
+  if (key == "group") return "all, meeting or site";
+  if (key == "meeting") return "an unsigned integer meeting key";
+  return "a known field";
+}
+
+bool apply_query_fields(std::string_view text, QueryRequest& out) {
+  QueryRequest r = out;
   while (!text.empty()) {
     std::size_t sep = text.find(';');
     const std::string_view field = text.substr(0, sep);
     text = sep == std::string_view::npos ? std::string_view{}
                                          : text.substr(sep + 1);
-    if (field.empty()) return false;
     const std::size_t eq = field.find('=');
-    if (eq == std::string_view::npos) return false;
-    const std::string_view key = field.substr(0, eq);
-    const std::string_view value = field.substr(eq + 1);
-    if (key == "from") {
-      if (!parse_i64(value, out.from_us)) return false;
-    } else if (key == "to") {
-      if (!parse_i64(value, out.to_us)) return false;
-    } else if (key == "metric") {
-      if (value == "rtt") out.metric = QueryMetric::Rtt;
-      else if (value == "jitter") out.metric = QueryMetric::Jitter;
-      else if (value == "bitrate") out.metric = QueryMetric::Bitrate;
-      else if (value == "sfu-rtt") out.metric = QueryMetric::SfuRtt;
-      else return false;
-    } else if (key == "group") {
-      if (value == "all") out.group = QueryGroupBy::All;
-      else if (value == "meeting") out.group = QueryGroupBy::Meeting;
-      else if (value == "site") out.group = QueryGroupBy::Site;
-      else return false;
-    } else if (key == "meeting") {
-      if (!parse_u64(value, out.meeting_key)) return false;
-      out.has_meeting = true;
-    } else {
+    if (eq == std::string_view::npos ||
+        !parse_query_field(field.substr(0, eq), field.substr(eq + 1), r))
       return false;
-    }
   }
-  return out.from_us <= out.to_us;
+  out = r;
+  return true;
+}
+
+bool parse_query_request(std::string_view text, QueryRequest& out) {
+  QueryRequest r;
+  if (!apply_query_fields(text, r) || r.from_us > r.to_us) return false;
+  out = r;
+  return true;
 }
 
 std::uint64_t histogram_quantile_upper(const capture::OffloadHistogram& hist,
@@ -493,13 +515,25 @@ bool run_query(const QueryRequest& request,
   return true;
 }
 
-bool run_query_on_manifest(const QueryRequest& request, const Manifest& manifest,
-                           const std::string& dir, QueryResult& out,
-                           std::size_t* skipped, std::string* error) {
-  std::vector<std::unique_ptr<JournalReader>> owned;
-  std::vector<JournalReader*> readers;
-  std::vector<std::uint32_t> site_of;
-  std::vector<std::string> site_names;
+bool JournalSet::open(const std::string& path, const std::string& site,
+                      std::string* error) {
+  auto reader = std::make_unique<JournalReader>();
+  if (!reader->open(path, error)) return false;
+  const std::string& name = site.empty() ? reader->site() : site;
+  std::uint32_t site_idx = 0;
+  for (; site_idx < site_names_.size(); ++site_idx)
+    if (site_names_[site_idx] == name) break;
+  if (site_idx == site_names_.size()) site_names_.push_back(name);
+  site_of_.push_back(site_idx);
+  readers_.push_back(reader.get());
+  owned_.push_back(std::move(reader));
+  paths_.push_back(path);
+  return true;
+}
+
+bool JournalSet::open_manifest(const QueryRequest& request,
+                               const Manifest& manifest, const std::string& dir,
+                               std::size_t* skipped, std::string* error) {
   std::size_t bad = 0;
   std::string first_error;
   for (const auto& entry : manifest.entries) {
@@ -509,37 +543,56 @@ bool run_query_on_manifest(const QueryRequest& request, const Manifest& manifest
         (entry.last_us < request.from_us || entry.first_us > request.to_us)) {
       continue;
     }
-    auto reader = std::make_unique<JournalReader>();
     std::string err;
     const std::string path = entry.path.starts_with('/')
                                  ? entry.path
                                  : dir + "/" + entry.path;
-    if (!reader->open(path, &err)) {
+    if (!open(path, entry.site, &err)) {
       ++bad;
       if (first_error.empty()) first_error = err;
-      continue;
     }
-    const std::string& site =
-        entry.site.empty() ? reader->site() : entry.site;
-    std::uint32_t site_idx = 0;
-    for (; site_idx < site_names.size(); ++site_idx)
-      if (site_names[site_idx] == site) break;
-    if (site_idx == site_names.size()) site_names.push_back(site);
-    site_of.push_back(site_idx);
-    readers.push_back(reader.get());
-    owned.push_back(std::move(reader));
   }
   if (skipped != nullptr) *skipped = bad;
-  if (readers.empty() && bad > 0) {
+  if (readers_.empty() && bad > 0) {
     if (error != nullptr) *error = "no readable journals: " + first_error;
     return false;
   }
-  if (!run_query(request, readers, site_of, site_names, out, error))
-    return false;
-  for (const auto& r : owned) {
-    out.records_corrupt += r->scan_stats().corrupt_records;
-  }
   return true;
+}
+
+bool JournalSet::query(const QueryRequest& request, QueryResult& out,
+                       std::string* error) const {
+  if (!run_query(request, readers_, site_of_, site_names_, out, error))
+    return false;
+  // Scan-time corruption is accounted in the result, never silently
+  // dropped.
+  for (const auto* r : readers_) out.records_corrupt += r->scan_stats().corrupt_records;
+  return true;
+}
+
+std::string JournalSet::render_stats() const {
+  std::string out;
+  char buf[160];
+  for (std::size_t i = 0; i < readers_.size(); ++i) {
+    const JournalReader& r = *readers_[i];
+    const auto& stats = r.scan_stats();
+    std::snprintf(buf, sizeof(buf),
+                  " shards=%u records=%zu %s corrupt=%llu skipped_bytes=%llu\n",
+                  r.shard_count(), r.records().size(),
+                  stats.used_index ? "indexed" : "scanned",
+                  static_cast<unsigned long long>(stats.corrupt_records),
+                  static_cast<unsigned long long>(stats.skipped_bytes));
+    out += paths_[i] + ": site=" + r.site() + buf;
+  }
+  return out;
+}
+
+bool run_query_on_manifest(const QueryRequest& request, const Manifest& manifest,
+                           const std::string& dir, QueryResult& out,
+                           std::size_t* skipped, std::string* error) {
+  JournalSet journals;
+  return journals.open_manifest(request, manifest, dir, skipped, error) &&
+         journals.query(request, out, error);
 }
 
 }  // namespace zpm::query

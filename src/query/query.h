@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -72,10 +73,23 @@ struct QueryRequest {
 };
 
 /// Canonical text codec: format() always emits every field in fixed
-/// order; parse() accepts any order, rejects unknown keys and malformed
-/// values, and is a fixpoint with format() (fuzz_query).
+/// order; parse() accepts any order, rejects unknown keys, malformed
+/// values and an empty window, and is a fixpoint with format()
+/// (fuzz_query). On failure `out` is left untouched.
 [[nodiscard]] std::string format_query_request(const QueryRequest& request);
 bool parse_query_request(std::string_view text, QueryRequest& out);
+
+/// Sets field `key` (from, to, metric, group or meeting) from its text
+/// form: the one per-key parser behind parse_query_request and
+/// zpm_query's key flags. False on an unknown key or a malformed value,
+/// leaving `out` untouched.
+bool parse_query_field(std::string_view key, std::string_view value,
+                       QueryRequest& out);
+/// What a well-formed value of field `key` looks like (usage errors).
+[[nodiscard]] std::string_view query_field_syntax(std::string_view key);
+/// Applies the ';'-joined key=value fields of `text` to `out` in order,
+/// leaving the fields it does not name as they are; all or nothing.
+bool apply_query_fields(std::string_view text, QueryRequest& out);
 
 /// One aggregation group of a result. All counters are sums over the
 /// selected records' rows; merging two groups with the same key is
@@ -194,10 +208,40 @@ bool run_query(const QueryRequest& request,
                std::span<const std::string> site_names, QueryResult& out,
                std::string* error);
 
-/// Convenience: opens every journal in `manifest` (paths relative to
-/// `dir`), assigns site indices by first appearance of each site name,
-/// and runs the query. Unreadable journals are skipped and reported via
-/// `skipped` (count), not fatal — unless *all* fail.
+/// Open journals and their site indexes — run_query's inputs, gathered
+/// one way for zpm_query's explicit files, its MANIFEST mode and
+/// run_query_on_manifest.
+class JournalSet {
+ public:
+  /// Opens `path` under `site` (empty: the site its header names); each
+  /// new site name gets the next index. False, with `error` set, when
+  /// the journal cannot be read.
+  bool open(const std::string& path, const std::string& site,
+            std::string* error);
+  /// Opens every journal in `manifest` (paths relative to `dir`) whose
+  /// span can overlap `request`'s window. Unreadable journals are
+  /// counted in `skipped`, not fatal — unless *all* fail.
+  bool open_manifest(const QueryRequest& request, const Manifest& manifest,
+                     const std::string& dir, std::size_t* skipped,
+                     std::string* error);
+  /// run_query over the open journals; the records their scans found
+  /// corrupt are added to `out.records_corrupt`.
+  bool query(const QueryRequest& request, QueryResult& out,
+             std::string* error) const;
+  /// One "<path>: site=.. shards=.. records=.. indexed|scanned
+  /// corrupt=.. skipped_bytes=.." line per open journal (--stats).
+  [[nodiscard]] std::string render_stats() const;
+  [[nodiscard]] bool empty() const { return readers_.empty(); }
+
+ private:
+  std::vector<std::unique_ptr<JournalReader>> owned_;
+  std::vector<JournalReader*> readers_;
+  std::vector<std::string> paths_;
+  std::vector<std::uint32_t> site_of_;
+  std::vector<std::string> site_names_;
+};
+
+/// JournalSet::open_manifest, then JournalSet::query.
 bool run_query_on_manifest(const QueryRequest& request, const Manifest& manifest,
                            const std::string& dir, QueryResult& out,
                            std::size_t* skipped, std::string* error);

@@ -174,7 +174,7 @@ class HeavyTable {
   std::uint32_t free_head_ = 0;       // entry idx + 1, 0 = none
 };
 
-/// Cumulative tier counters (reported by `--sketch-stats`; never part
+/// Cumulative tier counters (reported by `--stats`; never part
 /// of the standard report, which must stay bit-identical tier on/off).
 struct TierStats {
   std::uint64_t absorbed_packets = 0;  ///< rejected packets summarized

@@ -4,7 +4,8 @@
 # print the default run's report byte-for-byte; the CSV exports must
 # match between serial and sharded; the --demo inputs must not depend
 # on the shard count; campus_monitor --pcap must not depend on the
-# capture front end (apart from its banner line, which names it).
+# capture front end (apart from its banner line, which names it); and
+# --stats prints the same section on zpm_analyze and campus_monitor.
 #
 # Usage: identity_matrix.sh <zpm_analyze> <campus_monitor>
 set -eu
@@ -67,6 +68,23 @@ same "--demo --threads 1 vs 3" "$tmp/demo1.out" "$tmp/demo3.out"
 "$analyze" --demo --corrupt 5 --threads 1 > "$tmp/corrupt1.out"
 "$analyze" --demo --corrupt 5 --threads 3 > "$tmp/corrupt3.out"
 same "--demo --corrupt 5 --threads 1 vs 3" "$tmp/corrupt1.out" "$tmp/corrupt3.out"
+
+# --stats appends one section, the same text on both CLIs, and leaves
+# the report above it as it was.
+"$analyze" "$tmp/m.pcap" --stats > "$tmp/stats.out"
+head -n "$(wc -l < "$tmp/default.out")" "$tmp/stats.out" > "$tmp/stats_report.out"
+same "--stats report" "$tmp/default.out" "$tmp/stats_report.out"
+"$analyze" "$tmp/m.pcap" --stats --dataplane-offload |
+  sed -n '/^== capture front end/,$p' > "$tmp/analyze_stats.out"
+"$monitor" --pcap "$tmp/m.pcap" --stats --dataplane-offload |
+  sed -n '/^== capture front end/,$p' > "$tmp/monitor_stats.out"
+if grep -q '^covered-packets' "$tmp/analyze_stats.out"; then
+  same "--stats zpm_analyze vs campus_monitor --pcap" \
+    "$tmp/analyze_stats.out" "$tmp/monitor_stats.out"
+else
+  echo "FAIL --stats printed no offload rows"
+  status=1
+fi
 
 "$monitor" --pcap "$tmp/m.pcap" | tail -n +2 > "$tmp/monitor.out"
 "$monitor" --pcap "$tmp/m.pcap" --no-frontend | tail -n +2 > "$tmp/monitor_nofe.out"

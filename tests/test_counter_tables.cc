@@ -3,7 +3,8 @@
 // codecs, the health report rows and the all-clear verdict all read it.
 // FrozenLayout pins every name, position and health class; the
 // round-trip drives every field through the table-driven code; the
-// docs check keeps docs/ROBUSTNESS.md section 2 naming every counter.
+// docs check keeps docs/ROBUSTNESS.md section 2 naming every counter;
+// the --stats check keeps every front-end, tier and offload row printed.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,10 +17,14 @@
 
 #include "analysis/epoch.h"
 #include "analysis/tables.h"
+#include "capture/batch_filter.h"
 #include "capture/offload.h"
 #include "core/analyzer.h"
 #include "core/health.h"
+#include "sim/campus.h"
+#include "sim/meeting.h"
 #include "sketch/sketch.h"
+#include "util/strings.h"
 #include "util/counter_table.h"
 
 namespace zpm {
@@ -97,6 +102,13 @@ TEST(CounterTables, FrozenLayout) {
       "covered-packets", "probe-arms", "probe-collisions", "flow-evictions",
       "telemetry-collisions"};
   EXPECT_EQ(names_of(capture::kOffloadReportFields), offload);
+
+  const std::vector<std::string_view> frontend = {
+      "packets", "admitted", "rejected", "full-parse", "zoom-shaped",
+      "stun-flagged", "simd-batches", "scalar-batches", "offload-covered",
+      "offload-collisions", "offload-evictions", "promoted-packets",
+      "promoted-bytes"};
+  EXPECT_EQ(names_of(capture::kFrontEndStatsFields), frontend);
 }
 
 TEST(CounterTables, RowsFollowDeclarationOrder) {
@@ -111,6 +123,66 @@ TEST(CounterTables, RowsFollowDeclarationOrder) {
   const capture::OffloadReport o;
   EXPECT_EQ(offsets_of(o, capture::kOffloadReportFields),
             consecutive(offsetof(capture::OffloadReport, covered_packets), 5));
+  const capture::FrontEndStats f;
+  EXPECT_EQ(offsets_of(f, capture::kFrontEndStatsFields), consecutive(0, 13));
+}
+
+/// The line of `text` that starts with `name` and a space, or "".
+std::string line_of(const std::string& text, std::string_view name) {
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line))
+    if (line.starts_with(std::string(name) + " ")) return line;
+  return "";
+}
+
+/// Every row of `rows` has one --stats line: its name, then its value.
+template <class S, class Rows>
+void expect_rows(const std::string& text, const S& stats, const Rows& rows) {
+  for (const auto& row : rows) {
+    const std::string line = line_of(text, row.name);
+    EXPECT_TRUE(line.ends_with(" " + util::with_commas(stats.*row.member)))
+        << row.name << ": '" << line << "'";
+  }
+}
+
+// --stats renders one line per field-table row of the front end, the
+// sketch tier and the offload, whatever the counts.
+TEST(CounterTables, StatsRowsComeFromTheTables) {
+  sim::CampusConfig cc;
+  cc.seed = 5;
+  cc.duration = util::Duration::seconds(20);
+  sim::CampusSimulation campus(cc);
+  std::vector<net::RawPacket> trace;
+  while (auto pkt = campus.next_packet()) trace.push_back(std::move(*pkt));
+  sim::MeetingConfig mc;
+  mc.seed = 31;
+  mc.duration = util::Duration::seconds(20);
+  sim::ParticipantConfig a, b;
+  a.ip = net::Ipv4Addr(10, 8, 0, 1);
+  b.ip = net::Ipv4Addr(10, 8, 0, 2);
+  mc.participants = {a, b};
+  for (auto& pkt : sim::run_meeting(mc)) trace.push_back(std::move(pkt));
+
+  capture::BatchFilterConfig cfg;
+  cfg.flow_memory_budget = 64 << 10;
+  cfg.dataplane_offload = true;
+  capture::BatchFilter filter(cfg);
+  capture::BatchVerdicts verdicts;
+  std::vector<net::RawPacketView> batch;
+  for (const auto& pkt : trace) batch.push_back(net::as_view(pkt));
+  filter.classify(batch, verdicts);
+
+  const std::string text = analysis::render_stats(&filter);
+  expect_rows(text, filter.stats(), capture::kFrontEndStatsFields);
+  expect_rows(text, filter.sketch_report(0).stats, sketch::kTierStatsFields);
+  expect_rows(text, filter.offload_report(), capture::kOffloadReportFields);
+  EXPECT_GT(filter.stats().rejected, 0u);
+  EXPECT_GT(filter.offload_report().covered_packets, 0u);
+
+  EXPECT_EQ(analysis::render_stats(nullptr),
+            "== capture front end ===========================================\n"
+            "front end not active (--no-frontend)\n");
 }
 
 TEST(CounterTables, TableDrivenRoundTrip) {

@@ -307,6 +307,39 @@ TEST(MonitorDaemon, ReloadIgnoresMalformedValues) {
   EXPECT_EQ(daemon.stats().epochs_rotated, 1u);  // the final drain only
 }
 
+TEST(MonitorDaemon, CreatesAMissingReportDirectory) {
+  const auto dir = state_dir("daemon_mkdir");
+  const fs::path reports = dir / "new" / "reports";
+  auto config = base_config(reports, 900);
+  config.snapshot_path = (dir / "snapshot.bin").string();
+  config.engine.collect_journal = true;
+  MonitorDaemon daemon(std::move(config));
+  auto source = make_replay();
+  ASSERT_EQ(daemon.run(source), 0);
+  EXPECT_EQ(daemon.stats().epoch_files_written, daemon.stats().epochs_rotated);
+  EXPECT_EQ(epoch_files(reports).size(), daemon.stats().epochs_rotated);
+  EXPECT_GE(daemon.stats().epochs_rotated, 2u);
+  EXPECT_TRUE(fs::is_regular_file(reports / "MANIFEST"));
+  std::size_t journals = 0;
+  for (const auto& entry : fs::directory_iterator(reports))
+    if (entry.path().extension() == ".zpmj") ++journals;
+  EXPECT_EQ(journals, 1u);
+  EXPECT_GT(daemon.stats().journal_records_written, 0u);
+}
+
+TEST(MonitorDaemon, UncreatableReportDirectoryExitsBeforeReading) {
+  const auto dir = state_dir("daemon_mkdir_fail");
+  std::ofstream(dir / "file") << "not a directory\n";
+  auto config = base_config(dir / "file" / "reports", 900);
+  config.snapshot_path = (dir / "snapshot.bin").string();
+  MonitorDaemon daemon(std::move(config));
+  auto source = make_replay();
+  ASSERT_TRUE(source.ok()) << source.error();
+  EXPECT_EQ(daemon.run(source), 1);
+  EXPECT_EQ(source.packets_read(), 0u);
+  EXPECT_FALSE(fs::exists(dir / "snapshot.bin"));
+}
+
 TEST(MonitorDaemon, FatalSourceErrorExitsNonzero) {
   const auto dir = state_dir("daemon_fatal");
   auto config = base_config(dir, 900);

@@ -206,7 +206,38 @@ TEST(DataPlaneOffload, RegisterPressureIsAccountedAndMatchesReference) {
   EXPECT_TRUE(rep == reference.report());
   EXPECT_GT(rep.flow_evictions, 0u);
   EXPECT_GT(rep.probe_collisions, 0u);
-  EXPECT_GT(rep.collisions(), rep.probe_collisions);  // telemetry adds its own
+  EXPECT_GT(rep.collisions(), rep.probe_collisions);  // SSRC tags add their own
+}
+
+TEST(DataPlaneOffload, SsrcTagRegisterCountsTelemetryCollisions) {
+  // The SSRC-tag registers (flow_slots entries, SSRC hash): a packet
+  // whose slot is valid but holds another SSRC overwrites it and counts
+  // one telemetry collision. 48 streams (SSRC 0 among them, a valid
+  // SSRC, not an empty slot) interleave over 16 slots, then one stream
+  // repeats; the count was taken from the embedded per-SSRC telemetry
+  // model these registers replace.
+  OffloadConfig small;
+  small.flow_slots = 16;
+  DataPlaneOffload offload(small);
+  OffloadReference reference(small);
+  std::uint64_t per_packet = 0;
+  std::int64_t t = 0;
+  const auto feed = [&](std::uint32_t ssrc, int i) {
+    const auto f = media_fields(ssrc, zoom::kSfuDirToSfu,
+                                static_cast<std::uint16_t>(i),
+                                static_cast<std::uint32_t>(i) * 3000);
+    per_packet += offload.on_media_packet(Timestamp::from_micros(t), f)
+                      .telemetry_collisions;
+    reference.on_media_packet(Timestamp::from_micros(t), f);
+    t += 250;
+  };
+  for (int i = 0; i < 4; ++i)
+    for (std::uint32_t s = 0; s < 48; ++s) feed(s * 2654435761u, i);
+  for (int i = 4; i < 20; ++i) feed(0, i);
+  const auto rep = offload.report();
+  EXPECT_EQ(rep.telemetry_collisions, 179u);
+  EXPECT_EQ(per_packet, rep.telemetry_collisions);
+  EXPECT_TRUE(rep == reference.report());
 }
 
 // ---------------------------------------------------------------------------

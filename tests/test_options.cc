@@ -10,6 +10,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/campus_run.h"
@@ -239,18 +241,30 @@ TEST(Options, EveryRowStoresAValueOfItsKind) {
   TraceSettings trace;
   DaemonConfig daemon;
   DaemonSource source;
+  QuerySettings query;
+  capture::CaptureConfig filter;
   std::vector<OptionTable> tables = {file_run_options(file, kAnalyze),
                                      file_run_options(file, kPcap),
                                      trace_options(trace),
-                                     daemon_options(daemon, &source)};
+                                     daemon_options(daemon, &source),
+                                     query_options(query),
+                                     pcap_filter_options(filter)};
   for (const auto& table : tables) {
     for (const auto& row : table) {
       if (row.flag == nullptr) continue;
       std::vector<std::string> tokens = {row.flag};
+      const std::string_view flag = row.flag;
       switch (row.kind) {
         case OptionKind::Flag: break;
         case OptionKind::Schedule: tokens.push_back("0-10:0.5"); break;
         case OptionKind::ByteSize: tokens.push_back("64K"); break;
+        case OptionKind::Subnet: tokens.push_back("10.0.0.0/8"); break;
+        case OptionKind::QuerySpec: tokens.push_back("metric=jitter"); break;
+        case OptionKind::QueryField:
+          tokens.push_back(flag == "--metric" ? "jitter"
+                           : flag == "--group" ? "site"
+                                               : "3");
+          break;
         default: tokens.push_back("3"); break;
       }
       EXPECT_EQ(parse(table, tokens).error, "") << row.flag;
@@ -271,17 +285,29 @@ TEST(Options, FrozenInventory) {
   FileRunSettings file;
   const std::set<std::string> analyze = {
       "--threads", "--csv", "--p2p-timeout", "--anon-key", "--strict",
-      "--corrupt", "--no-frontend", "--frontend-stats", "--flow-memory-budget",
-      "--no-sketch", "--sketch-stats", "--overload", "--overload-inject",
-      "--overload-window", "--dataplane-offload", "--offload-stats"};
-  EXPECT_EQ(analyze.size(), 16u);
+      "--corrupt", "--no-frontend", "--flow-memory-budget", "--no-sketch",
+      "--stats", "--overload", "--overload-inject", "--overload-window",
+      "--dataplane-offload"};
+  EXPECT_EQ(analyze.size(), 14u);
   EXPECT_EQ(flags_of(file_run_options(file, kAnalyze)), analyze);
 
   const std::set<std::string> pcap = {
-      "--no-frontend", "--frontend-stats", "--flow-memory-budget",
-      "--no-sketch", "--sketch-stats", "--dataplane-offload"};
-  EXPECT_EQ(pcap.size(), 6u);
+      "--no-frontend", "--flow-memory-budget", "--no-sketch", "--stats",
+      "--dataplane-offload"};
+  EXPECT_EQ(pcap.size(), 5u);
   EXPECT_EQ(flags_of(file_run_options(file, kPcap)), pcap);
+
+  QuerySettings query;
+  const std::set<std::string> zpm_query = {
+      "--dir", "--from", "--to", "--metric", "--group", "--meeting", "--query",
+      "--stats"};
+  EXPECT_EQ(zpm_query.size(), 8u);
+  EXPECT_EQ(flags_of(query_options(query)), zpm_query);
+
+  capture::CaptureConfig filter;
+  const std::set<std::string> pcap_filter = {"--campus", "--no-anonymize", "--key"};
+  EXPECT_EQ(pcap_filter.size(), 3u);
+  EXPECT_EQ(flags_of(pcap_filter_options(filter)), pcap_filter);
 
   TraceSettings trace;
   const std::set<std::string> make_trace = {
@@ -311,6 +337,96 @@ TEST(Options, FrozenInventory) {
   EXPECT_EQ(keys.size(), 11u);
   EXPECT_EQ(keys_of(daemon_options(cfg)), keys);
   EXPECT_EQ(keys_of(daemon_options(cfg, &source)), keys);
+}
+
+// zpm_query's key flags share query::parse_query_field with the
+// key=value text of --query: the same value gives the same request.
+TEST(Options, QueryKeyFlagsMatchTheirKeyValueText) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"from", "-5"}, {"from", "1700000000000000"}, {"to", "9"},
+      {"to", "9223372036854775807"}, {"metric", "rtt"}, {"metric", "jitter"},
+      {"metric", "bitrate"}, {"metric", "sfu-rtt"}, {"group", "all"},
+      {"group", "meeting"}, {"group", "site"}, {"meeting", "0"},
+      {"meeting", "18446744073709551615"}};
+  for (const auto& [key, value] : cases) {
+    QuerySettings settings;
+    ASSERT_EQ(parse(query_options(settings), {"--" + key, value}).error, "") << key;
+    query::QueryRequest text;
+    ASSERT_TRUE(query::parse_query_request(key + "=" + value, text)) << key;
+    EXPECT_EQ(settings.request, text) << key << "=" << value;
+  }
+  for (const char* key : {"from", "to", "metric", "group", "meeting"}) {
+    for (const char* bad : {"", "abc", "5x", "-", "all5"}) {
+      QuerySettings settings;
+      const std::string flag = std::string("--") + key;
+      EXPECT_EQ(parse(query_options(settings), {flag, bad}).error,
+                flag + " wants " + std::string(query::query_field_syntax(key)))
+          << flag << " accepted '" << bad << "'";
+      EXPECT_EQ(settings.request, query::QueryRequest{});
+      EXPECT_FALSE(query::parse_query_request(key + std::string("=") + bad,
+                                              settings.request));
+    }
+  }
+}
+
+// Key flags and --query fields apply in command-line order: the last
+// setting of a field wins, and --query leaves the fields it does not
+// name as they were.
+TEST(Options, QueryFlagsAndSpecApplyInOrder) {
+  QuerySettings a;
+  ASSERT_EQ(parse(query_options(a), {"--from", "5", "--metric", "bitrate", "--query",
+                                     "metric=jitter;group=site", "--to", "9"})
+                .error,
+            "");
+  query::QueryRequest want;
+  ASSERT_TRUE(query::parse_query_request("from=5;to=9;metric=jitter;group=site", want));
+  EXPECT_EQ(a.request, want);
+
+  QuerySettings b;
+  ASSERT_EQ(parse(query_options(b), {"--query", "from=1;meeting=7", "--from", "3"}).error,
+            "");
+  ASSERT_TRUE(query::parse_query_request("from=3;meeting=7", want));
+  EXPECT_EQ(b.request, want);
+
+  // A malformed spec changes nothing and names --query.
+  QuerySettings c;
+  const auto args = parse(query_options(c), {"--from", "5", "--query", "to=9;metric=tcp"});
+  EXPECT_EQ(args.error.rfind("--query wants ", 0), 0u) << args.error;
+  EXPECT_EQ(c.request.from_us, 5);
+  EXPECT_EQ(c.request.to_us, query::QueryRequest{}.to_us);
+}
+
+TEST(Options, PositionalsOnlyWhereAccepted) {
+  QuerySettings settings;
+  std::vector<std::string> tokens = {"a.zpmj", "--stats", "b.zpmj", "--group", "site"};
+  std::vector<char*> argv;
+  for (auto& t : tokens) argv.push_back(t.data());
+  const auto args = parse_args(query_options(settings), argv, true);
+  ASSERT_EQ(args.error, "");
+  EXPECT_EQ(args.positionals, (std::vector<std::string_view>{"a.zpmj", "b.zpmj"}));
+  EXPECT_TRUE(settings.stats);
+  EXPECT_EQ(settings.request.group, query::QueryGroupBy::Site);
+  EXPECT_EQ(parse(query_options(settings), {"a.zpmj"}).error, "unknown option a.zpmj");
+}
+
+TEST(Options, PcapFilterCampusRepeatsAndKeyIsStrictHex) {
+  capture::CaptureConfig cfg;
+  const auto table = pcap_filter_options(cfg);
+  ASSERT_EQ(parse(table, {"--campus", "10.8.0.0/16", "--campus", "192.168.0.0/24",
+                          "--key", "0x1234", "--no-anonymize"})
+                .error,
+            "");
+  ASSERT_EQ(cfg.campus_subnets.size(), 2u);
+  EXPECT_EQ(cfg.campus_subnets[1].to_string(), "192.168.0.0/24");
+  EXPECT_EQ(cfg.anonymization_key, 0x1234u);
+  EXPECT_FALSE(cfg.anonymize);
+  for (const char* bad : {"10.0.0.0/33", "10.0.0.0", "10.0.0/8", "x/8", ""}) {
+    EXPECT_EQ(parse(table, {"--campus", bad}).error,
+              "--campus wants an IPv4 subnet like 10.0.0.0/8") << bad;
+  }
+  EXPECT_EQ(cfg.campus_subnets.size(), 2u);
+  EXPECT_EQ(parse(table, {"--key", "zz"}).error, "--key wants a hexadecimal integer");
+  EXPECT_EQ(cfg.anonymization_key, 0x1234u);
 }
 
 /// default_campus_config() with one environment variable set (or
