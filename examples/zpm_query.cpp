@@ -60,10 +60,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "warning: %zu unreadable journal(s) skipped\n",
                    skipped);
   } else {
-    for (const auto path : args.positionals)
-      if (!journals.open(std::string(path), "", &error))
+    for (const auto path : args.positionals) {
+      bool duplicate = false;
+      if (!journals.open(std::string(path), "", &error, &duplicate))
         std::fprintf(stderr, "warning: %.*s: %s\n", static_cast<int>(path.size()),
                      path.data(), error.c_str());
+      else if (duplicate)
+        std::fprintf(stderr,
+                     "warning: %.*s: already named, counted once\n",
+                     static_cast<int>(path.size()), path.data());
+    }
     if (journals.empty()) {
       std::fprintf(stderr, "error: no readable journals\n");
       return 1;

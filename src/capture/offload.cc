@@ -305,7 +305,9 @@ std::vector<ComponentSpec> offload_program_components(const OffloadConfig& confi
   hist.registers.push_back(RegisterSpec{"jitter_scratch", flow_slots, 192});
   hist.registers.push_back(RegisterSpec{"jitter_hist", kOffloadBuckets, 64});
   hist.registers.push_back(RegisterSpec{"rtt_hist", kOffloadBuckets, 64});
-  hist.registers.push_back(RegisterSpec{"ssrc_telemetry", flow_slots, 224});
+  // The SSRC tag behind telemetry_collisions: a 32-bit SSRC plus a
+  // valid bit per flow slot (DataPlaneOffload::ssrc_tags_).
+  hist.registers.push_back(RegisterSpec{"ssrc_telemetry", flow_slots, 33});
   components.push_back(std::move(hist));
 
   // Spin-bit probe: one hash over (ssrc, seq, ts), a stamp/match/clear

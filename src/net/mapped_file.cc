@@ -41,7 +41,7 @@ void MappedFile::reset() {
   valid_ = false;
 }
 
-MappedFile MappedFile::open(const std::string& path) {
+MappedFile MappedFile::open(const std::string& path, ReadPattern pattern) {
   MappedFile mf;
 #ifdef ZPM_HAVE_MMAP
   // Only regular files are opened here. Any open of a FIFO for reading,
@@ -64,12 +64,14 @@ MappedFile MappedFile::open(const std::string& path) {
     mf.valid_ = true;
     return mf;
   }
+  const bool sweep = pattern == ReadPattern::Sweep;
   int flags = MAP_PRIVATE;
 #ifdef MAP_POPULATE
   // Prefault the page tables in one kernel sweep instead of taking a
-  // demand fault every few records during the parse. The whole file is
-  // read anyway, so this moves cost, it doesn't add any.
-  flags |= MAP_POPULATE;
+  // demand fault every few records during the parse. A sweep reads the
+  // whole file anyway, so this moves cost, it doesn't add any; a sparse
+  // reader would pay for every page it never touches.
+  if (sweep) flags |= MAP_POPULATE;
 #endif
   void* addr = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
                       flags, fd, 0);
@@ -77,14 +79,18 @@ MappedFile MappedFile::open(const std::string& path) {
   if (addr == MAP_FAILED) return mf;
 #ifdef MADV_SEQUENTIAL
   // Trace analysis is one sequential sweep: tell the kernel to read
-  // ahead aggressively and drop pages behind us.
-  ::madvise(addr, static_cast<std::size_t>(st.st_size), MADV_SEQUENTIAL);
+  // ahead aggressively and drop pages behind us. Sparse mappings get no
+  // advice: MADV_RANDOM would also switch off fault-around, which is
+  // what keeps a record spanning several pages to one fault.
+  if (sweep)
+    ::madvise(addr, static_cast<std::size_t>(st.st_size), MADV_SEQUENTIAL);
 #endif
   mf.data_ = static_cast<const std::uint8_t*>(addr);
   mf.size_ = static_cast<std::size_t>(st.st_size);
   mf.valid_ = true;
 #else
   (void)path;
+  (void)pattern;
 #endif
   return mf;
 }

@@ -7,6 +7,11 @@
 //
 // Only regular files can be mapped; pipes, FIFOs and stdin go to the
 // other provider, a refill buffer over the stream (see net::TraceSource).
+//
+// The metric-journal reader (query/journal.h) maps files too, but reads
+// only the header, the footer index and the few records a window
+// overlaps, so the caller names its read pattern and only a whole-file
+// sweep pays for prefaulting.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +21,17 @@
 #include <string>
 
 namespace zpm::net {
+
+/// How the caller will read a mapping.
+enum class ReadPattern {
+  /// One front-to-back pass over every byte (trace ingest): prefault
+  /// the whole file and ask for aggressive read-ahead.
+  Sweep,
+  /// A few scattered ranges (journal queries): a plain lazy mapping, so
+  /// only the pages actually read are faulted in (with the kernel's
+  /// default fault-around).
+  Sparse,
+};
 
 /// RAII read-only mmap of a whole file. Move-only; the mapping lives
 /// until destruction, so views into it stay valid for the object's
@@ -34,7 +50,7 @@ class MappedFile {
   /// the file cannot be opened, is not a regular file, or mmap is
   /// unavailable — callers stream the file instead. A mapped
   /// zero-byte regular file is valid (data() == nullptr, size() == 0).
-  static MappedFile open(const std::string& path);
+  static MappedFile open(const std::string& path, ReadPattern pattern);
 
   /// True when a mapping (possibly zero-length) is held.
   [[nodiscard]] bool valid() const { return valid_; }

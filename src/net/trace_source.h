@@ -25,7 +25,7 @@ namespace zpm::net {
 class TraceSource : public BatchSource {
  public:
   explicit TraceSource(const std::string& path)
-      : file_(MappedFile::open(path)),
+      : file_(MappedFile::open(path, ReadPattern::Sweep)),
         reader_(file_.valid() ? CaptureReader(file_.bytes(), CaptureFormat::Sniff)
                               : CaptureReader(path, CaptureFormat::Sniff)) {}
 

@@ -138,6 +138,39 @@ std::uint64_t clamp_us(std::int64_t us) {
   return us > 0 ? static_cast<std::uint64_t>(us) : 0;
 }
 
+/// Decodes over `out` without clearing it first: `resize` keeps the rows
+/// a reused slice already holds and each one is overwritten field by
+/// field, so no row is built as a temporary and copied, nor zeroed just
+/// to be overwritten. On failure `out` is left partly written.
+bool decode_slice_in_place(util::ByteReader& r, EpochSlice& out) {
+  out.seq = r.u64be();
+  out.shard = r.u32be();
+  out.shard_count = r.u32be();
+  out.first_packet = r.u64be();
+  out.packets = r.u64be();
+  out.first_us = static_cast<std::int64_t>(r.u64be());
+  out.last_us = static_cast<std::int64_t>(r.u64be());
+  if (!r.ok() || out.shard_count == 0 || out.shard >= out.shard_count)
+    return false;
+  const std::uint32_t report_len = r.u32be();
+  if (!r.can_read(report_len)) return false;
+  const auto report = r.bytes(report_len);
+  out.report.assign(report.begin(), report.end());
+  const std::uint32_t n_meetings = r.u32be();
+  // The can_read bounds keep a hostile count from sizing the vectors
+  // past the payload.
+  if (!r.can_read(std::size_t{n_meetings} * kMeetingRowBytes)) return false;
+  out.meetings.resize(n_meetings);
+  for (MeetingRow& row : out.meetings)
+    if (!decode_meeting_row(r, row)) return false;
+  const std::uint32_t n_streams = r.u32be();
+  if (!r.can_read(std::size_t{n_streams} * kStreamRowBytes)) return false;
+  out.streams.resize(n_streams);
+  for (StreamRow& row : out.streams)
+    if (!decode_stream_row(r, row)) return false;
+  return r.ok();
+}
+
 }  // namespace
 
 void EpochSlice::clear() {
@@ -163,35 +196,9 @@ void encode_epoch_slice(const EpochSlice& slice, util::ByteWriter& w) {
 }
 
 bool decode_epoch_slice(util::ByteReader& r, EpochSlice& out) {
-  out.clear();
-  out.seq = r.u64be();
-  out.shard = r.u32be();
-  out.shard_count = r.u32be();
-  out.first_packet = r.u64be();
-  out.packets = r.u64be();
-  out.first_us = static_cast<std::int64_t>(r.u64be());
-  out.last_us = static_cast<std::int64_t>(r.u64be());
-  if (!r.ok() || out.shard_count == 0 || out.shard >= out.shard_count)
-    return false;
-  const std::uint32_t report_len = r.u32be();
-  if (!r.can_read(report_len)) return false;
-  const auto report = r.bytes(report_len);
-  out.report.assign(report.begin(), report.end());
-  const std::uint32_t n_meetings = r.u32be();
-  if (!r.can_read(std::size_t{n_meetings} * kMeetingRowBytes)) return false;
-  for (std::uint32_t i = 0; i < n_meetings; ++i) {
-    MeetingRow row;
-    if (!decode_meeting_row(r, row)) return false;
-    out.meetings.push_back(row);
-  }
-  const std::uint32_t n_streams = r.u32be();
-  if (!r.can_read(std::size_t{n_streams} * kStreamRowBytes)) return false;
-  for (std::uint32_t i = 0; i < n_streams; ++i) {
-    StreamRow row;
-    if (!decode_stream_row(r, row)) return false;
-    out.streams.push_back(row);
-  }
-  return r.ok();
+  if (decode_slice_in_place(r, out)) return true;
+  out.clear();  // never leave a half-decoded slice behind
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +478,7 @@ void JournalWriter::abandon() {
 // JournalReader
 
 bool JournalReader::open(const std::string& path, std::string* error) {
-  map_ = net::MappedFile::open(path);
+  map_ = net::MappedFile::open(path, net::ReadPattern::Sparse);
   if (!map_.valid()) {
     if (error != nullptr) *error = "cannot map " + path;
     return false;

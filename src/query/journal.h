@@ -125,7 +125,8 @@ struct EpochSlice {
 using EpochSliceSet = std::vector<EpochSlice>;
 
 /// Deterministic big-endian record payload codec. Equal slices encode
-/// to equal bytes; decode reuses `out`'s row capacity and is fully
+/// to equal bytes; decode overwrites `out`'s rows in place (reusing
+/// their capacity), leaves no rows behind on failure, and is fully
 /// bounds-checked (fuzz_query fixpoint target).
 void encode_epoch_slice(const EpochSlice& slice, util::ByteWriter& w);
 bool decode_epoch_slice(util::ByteReader& r, EpochSlice& out);

@@ -8,6 +8,10 @@
 #include <memory>
 #include <tuple>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/stat.h>
+#endif
+
 namespace zpm::query {
 
 namespace {
@@ -516,7 +520,24 @@ bool run_query(const QueryRequest& request,
 }
 
 bool JournalSet::open(const std::string& path, const std::string& site,
-                      std::string* error) {
+                      std::string* error, bool* duplicate) {
+  if (duplicate != nullptr) *duplicate = false;
+  // The same file under two names (`J ./J`, a symlink, overlapping
+  // globs) must count once: compare device and inode, not spelling.
+  FileId id;
+#if defined(__unix__) || defined(__APPLE__)
+  struct stat st{};
+  if (::stat(path.c_str(), &st) == 0) {
+    id = FileId{static_cast<std::uint64_t>(st.st_dev),
+                static_cast<std::uint64_t>(st.st_ino)};
+    for (const FileId& held : ids_) {
+      if (held.dev == id.dev && held.ino == id.ino) {
+        if (duplicate != nullptr) *duplicate = true;
+        return true;
+      }
+    }
+  }
+#endif
   auto reader = std::make_unique<JournalReader>();
   if (!reader->open(path, error)) return false;
   const std::string& name = site.empty() ? reader->site() : site;
@@ -528,6 +549,7 @@ bool JournalSet::open(const std::string& path, const std::string& site,
   readers_.push_back(reader.get());
   owned_.push_back(std::move(reader));
   paths_.push_back(path);
+  ids_.push_back(id);
   return true;
 }
 

@@ -215,12 +215,15 @@ class JournalSet {
  public:
   /// Opens `path` under `site` (empty: the site its header names); each
   /// new site name gets the next index. False, with `error` set, when
-  /// the journal cannot be read.
+  /// the journal cannot be read. A file the set already holds (same
+  /// device and inode, whatever the path spelling) is skipped: true,
+  /// with `*duplicate` set, so no record is counted twice.
   bool open(const std::string& path, const std::string& site,
-            std::string* error);
+            std::string* error, bool* duplicate = nullptr);
   /// Opens every journal in `manifest` (paths relative to `dir`) whose
   /// span can overlap `request`'s window. Unreadable journals are
-  /// counted in `skipped`, not fatal — unless *all* fail.
+  /// counted in `skipped`, not fatal — unless *all* fail; an entry
+  /// naming a file already open is skipped silently.
   bool open_manifest(const QueryRequest& request, const Manifest& manifest,
                      const std::string& dir, std::size_t* skipped,
                      std::string* error);
@@ -234,9 +237,16 @@ class JournalSet {
   [[nodiscard]] bool empty() const { return readers_.empty(); }
 
  private:
+  /// Device and inode of an open journal (0/0 where stat is unavailable).
+  struct FileId {
+    std::uint64_t dev = 0;
+    std::uint64_t ino = 0;
+  };
+
   std::vector<std::unique_ptr<JournalReader>> owned_;
   std::vector<JournalReader*> readers_;
   std::vector<std::string> paths_;
+  std::vector<FileId> ids_;
   std::vector<std::uint32_t> site_of_;
   std::vector<std::string> site_names_;
 };

@@ -7,6 +7,7 @@
 // a parse instead of checking every field.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -38,13 +39,7 @@ class ByteReader {
   }
 
   /// Reads a 16-bit big-endian integer.
-  std::uint16_t u16be() {
-    if (!require(2)) return 0;
-    std::uint16_t v = static_cast<std::uint16_t>(
-        (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
-    pos_ += 2;
-    return v;
-  }
+  std::uint16_t u16be() { return load_be<std::uint16_t>(); }
 
   /// Reads a 24-bit big-endian integer into the low bits of a uint32.
   std::uint32_t u24be() {
@@ -57,22 +52,10 @@ class ByteReader {
   }
 
   /// Reads a 32-bit big-endian integer.
-  std::uint32_t u32be() {
-    if (!require(4)) return 0;
-    std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                      (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                      (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                      static_cast<std::uint32_t>(data_[pos_ + 3]);
-    pos_ += 4;
-    return v;
-  }
+  std::uint32_t u32be() { return load_be<std::uint32_t>(); }
 
   /// Reads a 64-bit big-endian integer.
-  std::uint64_t u64be() {
-    std::uint64_t hi = u32be();
-    std::uint64_t lo = u32be();
-    return (hi << 32) | lo;
-  }
+  std::uint64_t u64be() { return load_be<std::uint64_t>(); }
 
   /// Returns a view of the next `n` bytes and advances past them.
   std::span<const std::uint8_t> bytes(std::size_t n) {
@@ -112,6 +95,34 @@ class ByteReader {
     }
     return true;
   }
+
+  /// One bounds check for the whole integer. On little-endian hosts a
+  /// single unaligned load plus a byte swap; elsewhere byte by byte. A
+  /// short read consumes nothing and fails the reader.
+  template <typename T>
+  T load_be() {
+    if (!require(sizeof(T))) return 0;
+    const std::uint8_t* p = data_.data() + pos_;
+    pos_ += sizeof(T);
+    if constexpr (kSwappedLoads) {
+      T v;
+      std::memcpy(&v, p, sizeof(T));
+      if constexpr (sizeof(T) == 2) return __builtin_bswap16(v);
+      else if constexpr (sizeof(T) == 4) return __builtin_bswap32(v);
+      else return __builtin_bswap64(v);
+    } else {
+      T v = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        v = static_cast<T>((v << 8) | p[i]);
+      return v;
+    }
+  }
+
+#if defined(__GNUC__) || defined(__clang__)
+  static constexpr bool kSwappedLoads = std::endian::native == std::endian::little;
+#else
+  static constexpr bool kSwappedLoads = false;  // no byte-swap builtins
+#endif
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

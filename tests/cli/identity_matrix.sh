@@ -5,12 +5,15 @@
 # match between serial and sharded; the --demo inputs must not depend
 # on the shard count; campus_monitor --pcap must not depend on the
 # capture front end (apart from its banner line, which names it); and
-# --stats prints the same section on zpm_analyze and campus_monitor.
+# --stats prints the same section on zpm_analyze and campus_monitor;
+# and zpm_query answers the same whether a journal is named once or
+# several times.
 #
-# Usage: identity_matrix.sh <zpm_analyze> <campus_monitor>
+# Usage: identity_matrix.sh <zpm_analyze> <campus_monitor> <zpm_query>
 set -eu
 analyze=$1
 monitor=$2
+query=$3
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 status=0
@@ -89,5 +92,25 @@ fi
 "$monitor" --pcap "$tmp/m.pcap" | tail -n +2 > "$tmp/monitor.out"
 "$monitor" --pcap "$tmp/m.pcap" --no-frontend | tail -n +2 > "$tmp/monitor_nofe.out"
 same "campus_monitor --pcap --no-frontend" "$tmp/monitor.out" "$tmp/monitor_nofe.out"
+
+# A journal named twice (directly, as ./J, or through a symlink) is
+# read once; zpm_query warns about each repeat on stderr.
+mkdir "$tmp/reports"
+"$monitor" --daemon --replay "$tmp/m.pcap" --loops 1 --epoch-packets 50000 \
+  --report-dir "$tmp/reports" --quiet 2> /dev/null
+journal=$(ls "$tmp"/reports/*.zpmj | head -n 1)
+ln -s "$journal" "$tmp/link.zpmj"
+"$query" "$journal" > "$tmp/query_once.out"
+"$query" "$journal" "$journal" > "$tmp/query_twice.out" 2> "$tmp/query_twice.err"
+same "zpm_query J J vs J" "$tmp/query_once.out" "$tmp/query_twice.out"
+(cd "$(dirname "$journal")" &&
+  "$query" "$journal" "./$(basename "$journal")" "$tmp/link.zpmj") \
+  > "$tmp/query_alias.out" 2> "$tmp/query_alias.err"
+same "zpm_query J ./J link-to-J vs J" "$tmp/query_once.out" "$tmp/query_alias.out"
+if [ "$(grep -c 'counted once' "$tmp/query_twice.err")" -ne 1 ] ||
+   [ "$(grep -c 'counted once' "$tmp/query_alias.err")" -ne 2 ]; then
+  echo "FAIL zpm_query did not warn once per repeated journal"
+  status=1
+fi
 
 exit $status

@@ -678,6 +678,23 @@ int main(int argc, char** argv) {
     write_seed(root / "fuzz_crc32", "random_1100.bin", seed);
   }
 
+  // fuzz_bytes: [op_count u8][ops][data]. Every integer width, a
+  // 5-byte view and a 3-byte skip over 64 random bytes (misaligning the
+  // later reads), then the rest; and a read sequence that runs a u64be
+  // off the end with 5 bytes left and keeps reading after the failure.
+  {
+    util::Rng byte_rng(64);
+    std::vector<std::uint8_t> seed = {10, 0, 1, 2, 3, 4, 5 | 5 << 3,
+                                      6 | 3 << 3, 4, 3, 7};
+    for (int i = 0; i < 64; ++i)
+      seed.push_back(static_cast<std::uint8_t>(byte_rng.next_u32()));
+    write_seed(root / "fuzz_bytes", "every_width.bin", seed);
+
+    seed = {5, 3, 0, 4, 1, 0, 0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04,
+            0x05, 0x06};
+    write_seed(root / "fuzz_bytes", "short_u64.bin", seed);
+  }
+
   std::printf("corpus written under %s\n", root.string().c_str());
   return 0;
 }

@@ -1,6 +1,9 @@
 // ByteReader / ByteWriter: bounds safety, byte order, round-trips.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "util/bytes.h"
 
 namespace zpm::util {
@@ -64,6 +67,63 @@ TEST(ByteReader, SkipPastEndFails) {
   ByteReader r(data);
   r.skip(4);
   EXPECT_FALSE(r.ok());
+}
+
+/// Big-endian value of `width` bytes at `p`, one byte at a time — the
+/// reference the word-at-a-time reads must match.
+std::uint64_t bytewise_be(const std::uint8_t* p, std::size_t width) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+std::uint64_t read_width(ByteReader& r, std::size_t width) {
+  switch (width) {
+    case 2: return r.u16be();
+    case 3: return r.u24be();
+    case 4: return r.u32be();
+    default: return r.u64be();
+  }
+}
+
+TEST(ByteReader, EveryWidthAtEveryOffsetMatchesBytewise) {
+  // Distinct, high-bit-heavy bytes so a swapped or shifted byte shows.
+  std::vector<std::uint8_t> data(32);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(0x81 + 37 * i);
+  for (const std::size_t width : {2u, 3u, 4u, 8u}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      ByteReader r(data);
+      r.skip(offset);
+      // Three back-to-back reads: the later ones start misaligned by a
+      // multiple of the width as well as by `offset`.
+      for (std::size_t k = 0; k < 3; ++k) {
+        const std::size_t at = offset + k * width;
+        EXPECT_EQ(read_width(r, width), bytewise_be(&data[at], width))
+            << "width " << width << " offset " << at;
+        EXPECT_EQ(r.position(), at + width);
+      }
+      EXPECT_TRUE(r.ok());
+      EXPECT_EQ(r.remaining(), data.size() - offset - 3 * width);
+    }
+  }
+}
+
+TEST(ByteReader, ShortReadOfEveryWidthFailsAndStaysFailed) {
+  const std::uint8_t data[8] = {0xff, 0xfe, 0xfd, 0xfc, 0xfb, 0xfa, 0xf9, 0xf8};
+  for (const std::size_t width : {2u, 3u, 4u, 8u}) {
+    for (std::size_t left = 1; left < width; ++left) {
+      ByteReader r(std::span<const std::uint8_t>(data, left));
+      EXPECT_EQ(read_width(r, width), 0u) << "width " << width << " left " << left;
+      EXPECT_FALSE(r.ok());
+      EXPECT_EQ(r.remaining(), 0u);
+      // Sticky: a read that would have fit before the failure fails too.
+      EXPECT_EQ(r.u8(), 0u);
+      EXPECT_FALSE(r.ok());
+      EXPECT_EQ(r.remaining(), 0u);
+      EXPECT_FALSE(r.can_read(0));
+    }
+  }
 }
 
 TEST(ByteWriter, RoundTripsThroughReader) {

@@ -246,6 +246,39 @@ TEST(Journal, IndexedRoundtripPreservesEveryRecord) {
   EXPECT_EQ(rep.packets, slice.packets);
 }
 
+TEST(Journal, DecodeOverwritesReusedRowsAndClearsOnFailure) {
+  const auto sets = run_slices(engine_config(), views_of(site_a_packets()));
+  const EpochSlice& big = sets[sets.size() / 2][0];
+  ASSERT_GT(big.streams.size(), 2u);
+  EpochSlice small = sets[1][0];
+  small.streams.resize(2);
+  const auto encode = [](const EpochSlice& slice) {
+    util::ByteWriter w;
+    encode_epoch_slice(slice, w);
+    return w.take();
+  };
+  const auto big_bytes = encode(big);
+  const auto small_bytes = encode(small);
+
+  // Decoding into a slice that already holds more rows leaves exactly
+  // the new record's rows, every field rewritten.
+  EpochSlice out;
+  util::ByteReader r1(big_bytes);
+  ASSERT_TRUE(decode_epoch_slice(r1, out));
+  EXPECT_EQ(out, big);
+  util::ByteReader r2(small_bytes);
+  ASSERT_TRUE(decode_epoch_slice(r2, out));
+  EXPECT_EQ(out, small);
+
+  // A record cut inside its last stream row fails and leaves no rows.
+  util::ByteReader r3(std::span<const std::uint8_t>(big_bytes).first(
+      big_bytes.size() - 1));
+  EXPECT_FALSE(decode_epoch_slice(r3, out));
+  EXPECT_TRUE(out.meetings.empty());
+  EXPECT_TRUE(out.streams.empty());
+  EXPECT_TRUE(out.report.empty());
+}
+
 TEST(Journal, ScanFallbackMatchesIndexedSelection) {
   const auto dir = state_dir("q_scan");
   const auto sets = run_slices(engine_config(), views_of(site_a_packets()));
@@ -588,6 +621,51 @@ TEST(QueryExactness, MultiSiteMergeEqualsMonolithicRecompute) {
           << format_query_request(req);
     }
   }
+}
+
+TEST(JournalSet, SameFileUnderTwoNamesIsCountedOnce) {
+  const auto dir = state_dir("q_duplicate");
+  const auto sets = run_slices(engine_config(), views_of(site_a_packets()));
+  const auto path = write_journal(dir / "j.zpmj", sets, "lab", true);
+  fs::create_symlink(dir / "j.zpmj", dir / "link.zpmj");
+  fs::copy_file(dir / "j.zpmj", dir / "copy.zpmj");
+  QueryRequest request;
+  request.metric = QueryMetric::Rtt;
+  request.group = QueryGroupBy::Meeting;
+
+  JournalSet once;
+  std::string error;
+  bool duplicate = true;
+  ASSERT_TRUE(once.open(path, "", &error, &duplicate)) << error;
+  EXPECT_FALSE(duplicate);
+  QueryResult want;
+  ASSERT_TRUE(once.query(request, want, &error)) << error;
+
+  // The same inode by its path, a `./` spelling and a symlink.
+  JournalSet named_thrice;
+  ASSERT_TRUE(named_thrice.open(path, "", &error, &duplicate)) << error;
+  EXPECT_FALSE(duplicate);
+  for (const fs::path& alias :
+       {fs::path(path), dir / "." / "j.zpmj", dir / "link.zpmj"}) {
+    ASSERT_TRUE(named_thrice.open(alias.string(), "", &error, &duplicate))
+        << error;
+    EXPECT_TRUE(duplicate) << alias;
+  }
+  QueryResult got;
+  ASSERT_TRUE(named_thrice.query(request, got, &error)) << error;
+  EXPECT_EQ(encode_result(got), encode_result(want));
+  EXPECT_EQ(named_thrice.render_stats(), once.render_stats());
+
+  // A byte-identical copy is a different file: both are counted.
+  JournalSet with_copy;
+  ASSERT_TRUE(with_copy.open(path, "", &error, &duplicate)) << error;
+  ASSERT_TRUE(with_copy.open((dir / "copy.zpmj").string(), "", &error,
+                             &duplicate))
+      << error;
+  EXPECT_FALSE(duplicate);
+  QueryResult doubled;
+  ASSERT_TRUE(with_copy.query(request, doubled, &error)) << error;
+  EXPECT_EQ(doubled.records_read, 2 * want.records_read);
 }
 
 // ---------------------------------------------------------------------------

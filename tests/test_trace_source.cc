@@ -12,7 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -495,6 +497,53 @@ TEST(TraceSource, StreamingFallbackOverFifoMatchesMapped) {
   }
 }
 
+/// Resident size of the mapping starting at `addr`, from
+/// /proc/self/smaps; nullopt where that file is unavailable.
+std::optional<std::size_t> resident_kb(const void* addr) {
+  std::ifstream smaps("/proc/self/smaps");
+  if (!smaps) return std::nullopt;
+  char start[32];
+  std::snprintf(start, sizeof(start), "%lx-",
+                static_cast<unsigned long>(reinterpret_cast<std::uintptr_t>(addr)));
+  std::string line;
+  bool in_mapping = false;
+  while (std::getline(smaps, line)) {
+    if (line.rfind(start, 0) == 0)
+      in_mapping = true;
+    else if (in_mapping && line.rfind("Rss:", 0) == 0)
+      return std::stoul(line.substr(4));
+  }
+  return std::nullopt;
+}
+
+TEST(MappedFile, OnlyASweepPrefaultsTheFile) {
+  // A trace sweep reads every byte, so its mapping is populated up
+  // front; a sparse reader (a journal query) faults in only what it
+  // touches.
+  const std::string path = temp_path("zpm_mf_pattern.bin");
+  std::vector<char> bytes(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<char>(i * 131 + 7);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const MappedFile sweep = MappedFile::open(path, ReadPattern::Sweep);
+  const MappedFile sparse = MappedFile::open(path, ReadPattern::Sparse);
+  ASSERT_TRUE(sweep.valid());
+  ASSERT_TRUE(sparse.valid());
+  const auto sweep_kb = resident_kb(sweep.data());
+  const auto sparse_kb = resident_kb(sparse.data());
+  if (!sweep_kb || !sparse_kb) GTEST_SKIP() << "no /proc/self/smaps";
+  EXPECT_EQ(*sweep_kb, bytes.size() / 1024);
+  EXPECT_EQ(*sparse_kb, 0u);
+  // Both map the same bytes.
+  ASSERT_EQ(sparse.size(), bytes.size());
+  EXPECT_EQ(std::memcmp(sparse.data(), bytes.data(), bytes.size()), 0);
+  EXPECT_EQ(std::memcmp(sweep.data(), bytes.data(), bytes.size()), 0);
+  std::remove(path.c_str());
+}
+
 TEST(MappedFile, ProbingAFifoDoesNotWakeAWaitingWriter) {
   // A writer started first (`cat trace > fifo & zpm_analyze fifo`) sits
   // in open() until a reader opens. The mapping probe must not be that
@@ -510,7 +559,7 @@ TEST(MappedFile, ProbingAFifoDoesNotWakeAWaitingWriter) {
     if (fd >= 0) ::close(fd);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(MappedFile::open(path).valid());
+  EXPECT_FALSE(MappedFile::open(path, ReadPattern::Sweep).valid());
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(opened.load());
   // Release the writer.
